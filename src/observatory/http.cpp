@@ -1,13 +1,7 @@
 #include "observatory/http.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cctype>
-#include <cerrno>
-#include <cstring>
+#include <cstdint>
 #include <sstream>
 #include <utility>
 
@@ -36,167 +30,53 @@ std::string_view status_text(int status) {
   }
 }
 
-bool send_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    // MSG_NOSIGNAL: a scraper hanging up mid-response must not SIGPIPE the
-    // whole daemon.
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // a signal is not a short write
-    if (n <= 0) return false;  // peer gone or SO_SNDTIMEO fired
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Case-insensitive Content-Length scan over the request head. Returns 0
-/// when absent or unparsable — only a positive declared body is rejected.
-std::size_t declared_body_bytes(const std::string& head) {
+/// Case-insensitive Content-Length scan over the request head: true for a
+/// positive length, or one too long to represent. Absent or unparsable
+/// reads as no body.
+bool declares_body(const std::string& head) {
   std::string lower(head.size(), '\0');
   for (std::size_t i = 0; i < head.size(); ++i)
     lower[i] = static_cast<char>(
         std::tolower(static_cast<unsigned char>(head[i])));
   const std::size_t at = lower.find("content-length:");
-  if (at == std::string::npos) return 0;
+  if (at == std::string::npos) return false;
   std::size_t i = at + sizeof("content-length:") - 1;
   while (i < lower.size() && (lower[i] == ' ' || lower[i] == '\t')) ++i;
   std::size_t value = 0;
-  bool any = false;
-  while (i < lower.size() && lower[i] >= '0' && lower[i] <= '9') {
-    value = value * 10 + static_cast<std::size_t>(lower[i] - '0');
-    any = true;
-    ++i;
+  for (; i < lower.size() && lower[i] >= '0' && lower[i] <= '9'; ++i) {
+    const auto digit = static_cast<std::size_t>(lower[i] - '0');
+    if (value > (SIZE_MAX - digit) / 10) return true;
+    value = value * 10 + digit;
   }
-  return any ? value : 0;
+  return value > 0;
 }
 
 }  // namespace
 
 bool HttpServer::start(std::uint16_t port, HttpHandler handler,
                        std::string* error, HttpServerConfig config) {
-  auto fail = [error](const std::string& what) {
-    if (error) *error = what + ": " + std::strerror(errno);
-    return false;
-  };
-  if (listen_fd_ >= 0) {
-    if (error) *error = "already running";
-    return false;
-  }
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return fail("socket");
-
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return fail("bind");
-  }
-  if (::listen(fd, 16) < 0) {
-    ::close(fd);
-    return fail("listen");
-  }
-
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    ::close(fd);
-    return fail("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-
-  handler_ = std::move(handler);
-  config_ = config;
-  if (config_.max_request_bytes == 0) config_.max_request_bytes = 8192;
-  requests_.store(0, std::memory_order_relaxed);
-  listen_fd_ = fd;
-  thread_ = std::thread([this] { serve_loop(); });
-  return true;
+  return server_.start(
+      port, config.recv_timeout_ms,
+      [this, handler = std::move(handler)](Connection& conn) {
+        handle_connection(conn, handler);
+      },
+      error);
 }
 
-void HttpServer::stop() {
-  if (listen_fd_ < 0) return;
-  // shutdown() wakes the blocked accept() with an error; the loop then
-  // exits and the close happens exactly once, here.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (thread_.joinable()) thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  port_ = 0;
-}
-
-void HttpServer::serve_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (or broken beyond repair)
-    }
-    handle_connection(fd);
-    ::close(fd);
-  }
-}
-
-void HttpServer::handle_connection(int fd) {
-  // A stalled peer must not wedge the accept thread forever, in either
-  // direction.
-  timeval tv{};
-  tv.tv_sec = config_.recv_timeout_ms / 1000;
-  tv.tv_usec = (config_.recv_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  timeval stv{};
-  stv.tv_sec = config_.send_timeout_ms / 1000;
-  stv.tv_usec = (config_.send_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &stv, sizeof stv);
-
+void HttpServer::handle_connection(Connection& conn,
+                                   const HttpHandler& handler) {
   std::string request;
-  char buf[1024];
-  bool complete = false;
-  bool oversized = false;
-  bool timed_out = false;
-  while (!complete) {
-    if (request.find("\r\n\r\n") != std::string::npos ||
-        request.find("\n\n") != std::string::npos) {
-      complete = true;  // full request head
-      break;
-    }
-    // Tolerate bare single-line requests ("GET /x\n" from a hand-rolled
-    // probe): one complete line and nothing after it is a whole request.
-    const std::size_t nl = request.find('\n');
-    if (nl != std::string::npos && nl == request.size() - 1) {
-      complete = true;
-      break;
-    }
-    if (request.size() >= config_.max_request_bytes) {
-      oversized = true;
-      break;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      request.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      timed_out = true;  // slow loris: stalled mid-request
-      break;
-    }
-    break;  // EOF (or hard error): parse whatever arrived
-  }
+  const ReadStatus read = conn.read_head(kMaxHttpRequestBytes, request);
 
   HttpResponse resp;
-  if (oversized) {
+  if (read == ReadStatus::truncated &&
+      request.size() >= kMaxHttpRequestBytes) {
     resp = {431, "text/plain; charset=utf-8", "request head too large\n"};
-  } else if (timed_out && !complete) {
+  } else if (read == ReadStatus::timed_out) {
     resp = {408, "text/plain; charset=utf-8", "request timed out\n"};
   } else if (request.find('\0') != std::string::npos) {
     resp = {400, "text/plain; charset=utf-8", "bad request\n"};
-  } else if (declared_body_bytes(request) > 0) {
+  } else if (declares_body(request)) {
     resp = {413, "text/plain; charset=utf-8", "request bodies not accepted\n"};
   } else {
     const std::size_t line_end = request.find('\r');
@@ -215,7 +95,7 @@ void HttpServer::handle_connection(int fd) {
       const std::size_t q = path.find('?');
       if (q != std::string::npos) path.resize(q);
       try {
-        resp = handler_(path);
+        resp = handler(path);
       } catch (const std::exception& e) {
         resp = {500, "text/plain; charset=utf-8",
                 std::string("internal error: ") + e.what() + "\n"};
@@ -228,7 +108,7 @@ void HttpServer::handle_connection(int fd) {
        << "\r\nContent-Type: " << resp.content_type
        << "\r\nContent-Length: " << resp.body.size()
        << "\r\nConnection: close\r\n\r\n";
-  send_all(fd, head.str() + resp.body);
+  conn.send_all(head.str() + resp.body);
   requests_.fetch_add(1, std::memory_order_relaxed);
 }
 

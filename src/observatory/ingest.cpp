@@ -22,56 +22,6 @@ constexpr const char* kShedTotalProbe = "observatory.ingest.shed_total";
 constexpr const char* kRejectedProbe = "observatory.ingest.rejected_total";
 constexpr const char* kMaxLagProbe = "observatory.ingest.max_lag";
 
-enum class ReadStatus : std::uint8_t {
-  ok,
-  closed,     ///< EOF before the first byte (clean disconnect)
-  truncated,  ///< EOF or hard error mid-read
-  timed_out,  ///< SO_RCVTIMEO fired (slow loris)
-};
-
-/// Reads exactly `n` bytes, riding out EINTR and partial reads.
-ReadStatus read_full(int fd, char* out, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t k = ::recv(fd, out + got, n - got, 0);
-    if (k > 0) {
-      got += static_cast<std::size_t>(k);
-      continue;
-    }
-    if (k == 0) return got == 0 ? ReadStatus::closed : ReadStatus::truncated;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStatus::timed_out;
-    return got == 0 ? ReadStatus::closed : ReadStatus::truncated;
-  }
-  return ReadStatus::ok;
-}
-
-/// Best-effort full send; a dead peer surfaces on its next read instead.
-bool send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t k =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-bool send_server_frame(int fd, IngestFrameType type,
-                       std::string_view body = {}) {
-  return send_all(fd, ingest_frame(type, body));
-}
-
-bool send_error_frame(int fd, std::string_view message) {
-  super::wire::Writer w;
-  w.str(message);
-  return send_server_frame(fd, IngestFrameType::error, w.bytes());
-}
-
 }  // namespace
 
 // --- wire codec -------------------------------------------------------------
@@ -165,47 +115,19 @@ bool get_campaign_report(super::wire::Reader& r, super::CampaignReport& out) {
 IngestServer::IngestServer(Observatory& obs, IngestConfig config)
     : obs_(obs), config_(config) {
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.max_connections <= 0) config_.max_connections = 1;
 }
 
 IngestServer::~IngestServer() { stop(); }
 
 bool IngestServer::start(std::uint16_t port, std::string* error) {
-  const auto fail = [&](const std::string& what) {
-    if (error) *error = what + ": " + std::strerror(errno);
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    return false;
-  };
-
-  if (listen_fd_ >= 0) {
-    if (error) *error = "already started";
-    return false;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_.store(false, std::memory_order_relaxed);
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return fail("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0)
-    return fail("bind");
-  if (::listen(listen_fd_, SOMAXCONN) != 0) return fail("listen");
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0)
-    return fail("getsockname");
-  port_ = ntohs(bound.sin_port);
-
-  stopping_.store(false, std::memory_order_relaxed);
+  if (!server_.start(
+          port, kIngestRecvTimeoutMs,
+          [this](Connection& conn) { handle_connection(conn); }, error))
+    return false;
   auto& reg = obs::MetricsRegistry::global();
   reg.register_probe(kQueueDepthProbe, [this] {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -221,38 +143,21 @@ bool IngestServer::start(std::uint16_t port, std::string* error) {
     return static_cast<double>(
         max_queue_depth_.load(std::memory_order_relaxed));
   });
-  accept_thread_ = std::thread([this] { accept_loop(); });
   drain_thread_ = std::thread([this] { drain_loop(); });
   return true;
 }
 
 void IngestServer::stop() {
-  if (listen_fd_ < 0 && !accept_thread_.joinable() &&
-      !drain_thread_.joinable())
-    return;
-  stopping_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (!running() && !drain_thread_.joinable()) return;
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_.store(true, std::memory_order_relaxed);
   }
   queue_cv_.notify_all();
   space_cv_.notify_all();
   drain_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-    finished_ids_.clear();
-  }
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
+  server_.stop();
   if (drain_thread_.joinable()) drain_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
   auto& reg = obs::MetricsRegistry::global();
   reg.unregister_probe(kQueueDepthProbe);
   reg.unregister_probe(kShedTotalProbe);
@@ -302,70 +207,33 @@ void IngestServer::set_drain_paused(bool paused) {
   queue_cv_.notify_all();
 }
 
-void IngestServer::reap_finished_locked() {
-  for (const std::thread::id id : finished_ids_) {
-    const auto it =
-        std::find_if(conn_threads_.begin(), conn_threads_.end(),
-                     [&](const std::thread& t) { return t.get_id() == id; });
-    if (it == conn_threads_.end()) continue;
-    it->join();
-    conn_threads_.erase(it);
-  }
-  finished_ids_.clear();
-}
-
-void IngestServer::accept_loop() {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t len = sizeof(peer);
-    const int fd =
-        ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &len);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      if (fd >= 0) ::close(fd);
-      return;
-    }
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    timeval tv{};
-    tv.tv_sec = config_.recv_timeout_ms / 1000;
-    tv.tv_usec = (config_.recv_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    reap_finished_locked();
-    if (conn_fds_.size() >=
-        static_cast<std::size_t>(config_.max_connections)) {
-      ::close(fd);
-      continue;
-    }
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-}
-
-void IngestServer::handle_connection(int fd) {
+void IngestServer::handle_connection(Connection& conn) {
+  connections_.fetch_add(1, std::memory_order_relaxed);
   std::string campaign;
   IngestOverloadPolicy policy = IngestOverloadPolicy::park;
   bool hello_seen = false;
-  bool open = true;
   std::uint64_t since_ack = 0;
-  std::string header(kIngestHeaderBytes, '\0');
+  std::string header;
   std::string payload;
+  // Every rejected frame lands in exactly one counter. A stall or a
+  // mid-frame EOF ends the connection; reject() answers with an error frame.
+  const auto read_failed = [&](ReadStatus st) {
+    if (st == ReadStatus::ok) return false;
+    (st == ReadStatus::timed_out ? timeouts_ : truncated_)
+        .fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+  const auto reject = [&](std::atomic<std::uint64_t>& counter,
+                          std::string_view why) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+    super::wire::Writer w;
+    w.str(why);
+    conn.send_all(ingest_frame(IngestFrameType::error, w.bytes()));
+  };
 
-  while (open && !stopping_.load(std::memory_order_relaxed)) {
-    ReadStatus st = read_full(fd, header.data(), header.size());
-    if (st == ReadStatus::closed) break;
-    if (st == ReadStatus::timed_out) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    if (st != ReadStatus::ok) {
-      truncated_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    const ReadStatus st = conn.read_exact(kIngestHeaderBytes, header);
+    if (st == ReadStatus::closed || read_failed(st)) return;
     super::wire::Reader hr(header);
     const std::uint32_t magic = hr.u32();
     const std::uint32_t frame_len = hr.u32();
@@ -374,38 +242,26 @@ void IngestServer::handle_connection(int fd) {
       // The byte stream is desynchronized — nothing downstream can be
       // trusted, so the connection dies rather than resynchronize by guess.
       bad_magic_.fetch_add(1, std::memory_order_relaxed);
-      break;
+      return;
     }
-    if (frame_len == 0 || frame_len > config_.max_frame_payload) {
+    if (frame_len == 0 || frame_len > kIngestMaxFramePayload) {
       // A giant declared length must never allocate; reject before resize.
-      bad_length_.fetch_add(1, std::memory_order_relaxed);
-      send_error_frame(fd, "declared payload length out of range");
-      break;
+      reject(bad_length_, "declared payload length out of range");
+      return;
     }
-    payload.resize(frame_len);
-    st = read_full(fd, payload.data(), frame_len);
-    if (st == ReadStatus::timed_out) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    if (st != ReadStatus::ok) {
-      truncated_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
+    if (read_failed(conn.read_exact(frame_len, payload))) return;
     if (super::wire::fnv1a(payload) != checksum) {
       // Framing is intact (exactly frame_len bytes consumed), so the
       // connection survives a corrupt payload.
-      bad_checksum_.fetch_add(1, std::memory_order_relaxed);
-      send_error_frame(fd, "payload checksum mismatch");
+      reject(bad_checksum_, "payload checksum mismatch");
       continue;
     }
 
     super::wire::Reader r(payload);
     const auto type = static_cast<IngestFrameType>(r.u8());
     if (!hello_seen && type != IngestFrameType::hello) {
-      bad_payload_.fetch_add(1, std::memory_order_relaxed);
-      send_error_frame(fd, "first frame must be hello");
-      break;
+      reject(bad_payload_, "first frame must be hello");
+      return;
     }
     switch (type) {
       case IngestFrameType::hello: {
@@ -416,16 +272,12 @@ void IngestServer::handle_connection(int fd) {
         const std::uint64_t plan_hash = r.u64();
         if (!r.done() || name.empty() ||
             pol > static_cast<std::uint8_t>(IngestOverloadPolicy::shed)) {
-          bad_payload_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "malformed hello");
-          open = false;
-          break;
+          reject(bad_payload_, "malformed hello");
+          return;
         }
         if (proto != kIngestProtocolVersion) {
-          bad_payload_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "unsupported protocol version");
-          open = false;
-          break;
+          reject(bad_payload_, "unsupported protocol version");
+          return;
         }
         std::uint64_t next = 0;
         bool identity_ok = true;
@@ -445,10 +297,9 @@ void IngestServer::handle_connection(int fd) {
           }
         }
         if (!identity_ok) {
-          identity_rejected_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "campaign bound to a different world/plan");
-          open = false;
-          break;
+          reject(identity_rejected_,
+                 "campaign bound to a different world/plan");
+          return;
         }
         campaign = name;
         policy = static_cast<IngestOverloadPolicy>(pol);
@@ -456,14 +307,13 @@ void IngestServer::handle_connection(int fd) {
         frames_accepted_.fetch_add(1, std::memory_order_relaxed);
         super::wire::Writer w;
         w.u64(next);
-        send_server_frame(fd, IngestFrameType::resume, w.bytes());
+        conn.send_all(ingest_frame(IngestFrameType::resume, w.bytes()));
         break;
       }
       case IngestFrameType::announce: {
         const std::uint64_t total = r.u64();
         if (!r.done()) {
-          bad_payload_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "malformed announce");
+          reject(bad_payload_, "malformed announce");
           break;
         }
         frames_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -474,8 +324,7 @@ void IngestServer::handle_connection(int fd) {
         const std::uint64_t seq = r.u64();
         StreamEvent ev;
         if (!get_stream_event(r, ev) || !r.done()) {
-          bad_payload_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "malformed event");
+          reject(bad_payload_, "malformed event");
           break;
         }
         bool accepted = false;
@@ -495,8 +344,7 @@ void IngestServer::handle_connection(int fd) {
           next = cs.next_seq;
         }
         if (gap) {
-          seq_gap_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "sequence gap");
+          reject(seq_gap_, "sequence gap");
           break;
         }
         if (!accepted) {
@@ -507,16 +355,13 @@ void IngestServer::handle_connection(int fd) {
         item.kind = Item::Kind::event;
         item.campaign = campaign;
         item.event = ev;
-        if (!enqueue(std::move(item), policy, fd)) {
-          open = false;
-          break;
-        }
+        if (!enqueue(std::move(item), policy, conn)) return;
         frames_accepted_.fetch_add(1, std::memory_order_relaxed);
         if (++since_ack >= kIngestAckEvery) {
           since_ack = 0;
           super::wire::Writer w;
           w.u64(next);
-          send_server_frame(fd, IngestFrameType::ack, w.bytes());
+          conn.send_all(ingest_frame(IngestFrameType::ack, w.bytes()));
         }
         break;
       }
@@ -527,8 +372,7 @@ void IngestServer::handle_connection(int fd) {
         item.report_kind = std::string(r.str());
         if (!get_campaign_report(r, item.report) || !r.done() ||
             item.report_kind.empty()) {
-          bad_payload_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "malformed report");
+          reject(bad_payload_, "malformed report");
           break;
         }
         // Reports bypass the capacity check (bounded overshoot: a handful
@@ -545,8 +389,7 @@ void IngestServer::handle_connection(int fd) {
       }
       case IngestFrameType::done: {
         if (!r.done()) {
-          bad_payload_.fetch_add(1, std::memory_order_relaxed);
-          send_error_frame(fd, "malformed done");
+          reject(bad_payload_, "malformed done");
           break;
         }
         auto gate = std::make_shared<bool>(false);
@@ -563,33 +406,26 @@ void IngestServer::handle_connection(int fd) {
             return stopping_.load(std::memory_order_relaxed) || *gate;
           });
         }
-        if (stopping_.load(std::memory_order_relaxed)) {
-          open = false;
-          break;
-        }
+        if (stopping_.load(std::memory_order_relaxed)) return;
         frames_accepted_.fetch_add(1, std::memory_order_relaxed);
         super::wire::Writer w;
         w.u64(cursor(campaign));
-        send_server_frame(fd, IngestFrameType::ack, w.bytes());
-        send_server_frame(fd, IngestFrameType::done_ack);
+        // One write: as two small ones, the second would wait under Nagle
+        // for the client's delayed ACK of the first (~40 ms per campaign).
+        conn.send_all(ingest_frame(IngestFrameType::ack, w.bytes()) +
+                      ingest_frame(IngestFrameType::done_ack));
         break;
       }
       default: {
-        unknown_type_.fetch_add(1, std::memory_order_relaxed);
-        send_error_frame(fd, "unknown frame type");
+        reject(unknown_type_, "unknown frame type");
         break;
       }
     }
   }
-
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                  conn_fds_.end());
-  finished_ids_.push_back(std::this_thread::get_id());
 }
 
-bool IngestServer::enqueue(Item item, IngestOverloadPolicy policy, int fd) {
+bool IngestServer::enqueue(Item item, IngestOverloadPolicy policy,
+                           Connection& conn) {
   std::unique_lock<std::mutex> lk(queue_mu_);
   if (queue_.size() >= config_.queue_capacity) {
     if (policy == IngestOverloadPolicy::shed) {
@@ -607,7 +443,7 @@ bool IngestServer::enqueue(Item item, IngestOverloadPolicy policy, int fd) {
     lk.unlock();
     super::wire::Writer w;
     w.u64(depth);
-    send_server_frame(fd, IngestFrameType::park, w.bytes());
+    conn.send_all(ingest_frame(IngestFrameType::park, w.bytes()));
     lk.lock();
     space_cv_.wait(lk, [&] {
       return stopping_.load(std::memory_order_relaxed) ||

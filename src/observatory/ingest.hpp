@@ -50,10 +50,10 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "fault/socket_fault.hpp"
 #include "observatory/observatory.hpp"
+#include "observatory/socket_server.hpp"
 #include "super/wire.hpp"
 
 namespace cgn::observatory {
@@ -67,6 +67,12 @@ inline constexpr std::uint32_t kIngestProtocolVersion = 1;
 inline constexpr std::size_t kIngestHeaderBytes = 16;
 /// The server acks every N-th accepted event (and on done).
 inline constexpr std::uint64_t kIngestAckEvery = 256;
+/// Frames declaring more payload than this are rejected (bad_length) and
+/// the connection closed — a giant length must never allocate.
+inline constexpr std::size_t kIngestMaxFramePayload = 1u << 20;
+/// SO_RCVTIMEO per push connection: a slow-loris feeder mid-frame is cut
+/// off and counted (timeouts), not allowed to pin a thread forever.
+inline constexpr int kIngestRecvTimeoutMs = 30000;
 
 enum class IngestFrameType : std::uint8_t {
   // client -> server
@@ -111,14 +117,6 @@ struct IngestConfig {
   /// Bounded ingest queue: events admitted but not yet drained into the
   /// detectors. Full queue => park or shed, per the connection's policy.
   std::size_t queue_capacity = 4096;
-  /// Frames declaring more payload than this are rejected (bad_length) and
-  /// the connection closed — a giant length must never allocate.
-  std::size_t max_frame_payload = 1u << 20;
-  /// SO_RCVTIMEO per connection: a slow-loris feeder mid-frame is cut off
-  /// and counted (timeouts), not allowed to pin a thread forever.
-  int recv_timeout_ms = 30000;
-  /// Concurrent push connections; excess accepts are closed immediately.
-  int max_connections = 16;
 };
 
 /// Point-in-time counter snapshot. Every frame the server ever saw is
@@ -152,9 +150,10 @@ struct IngestStats {
   }
 };
 
-/// The push-ingestion listener: accept thread + one thread per connection
-/// feeding a bounded queue, one drain thread applying items to the
-/// Observatory. Owned by the Observatory (serve_ingest()).
+/// The push-ingestion protocol over the shared SocketServer: each push
+/// connection's thread parses frames into one bounded queue, and one drain
+/// thread applies the items to the Observatory. Owned by the Observatory
+/// (serve_ingest()).
 class IngestServer {
  public:
   IngestServer(Observatory& obs, IngestConfig config);
@@ -168,8 +167,8 @@ class IngestServer {
   /// Stops accepting, closes every connection, joins all threads.
   void stop();
 
-  [[nodiscard]] bool running() const noexcept { return listen_fd_ >= 0; }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] bool running() const noexcept { return server_.running(); }
+  [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
   [[nodiscard]] const IngestConfig& config() const noexcept { return config_; }
 
   [[nodiscard]] IngestStats stats() const;
@@ -198,31 +197,20 @@ class IngestServer {
     bool bound = false;  ///< identity fields set by the first hello
   };
 
-  void accept_loop();
-  void handle_connection(int fd);
+  void handle_connection(Connection& conn);
   void drain_loop();
-  /// Joins connection threads that already exited (called under conns_mu_)
-  /// so a long-lived server's thread roster stays bounded by live
-  /// connections, not lifetime connections.
-  void reap_finished_locked();
   /// True once enqueued (or shed, which still counts as handled); false
   /// only when the server is stopping.
-  bool enqueue(Item item, IngestOverloadPolicy policy, int fd);
+  bool enqueue(Item item, IngestOverloadPolicy policy, Connection& conn);
   void note_queue_depth_locked();
 
   Observatory& obs_;
   IngestConfig config_;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::thread drain_thread_;
+  /// Written under queue_mu_, so a waiter on its condition variables
+  /// cannot miss the flip.
   std::atomic<bool> stopping_{false};
-
-  std::mutex conns_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<std::thread::id> finished_ids_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;  ///< drain waits: items or stop
@@ -254,6 +242,8 @@ class IngestServer {
   std::atomic<std::uint64_t> shed_total_{0};
   std::array<std::atomic<std::uint64_t>, 5> shed_by_kind_{};
   std::atomic<std::uint64_t> max_queue_depth_{0};
+
+  SocketServer server_;  ///< last: its threads use the members above
 };
 
 // --- client -----------------------------------------------------------------

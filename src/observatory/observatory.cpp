@@ -202,20 +202,27 @@ void Observatory::drop_campaign(const std::string& campaign) {
 }
 
 void Observatory::capture_trace(const obs::TraceRing& ring) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring.events_into(trace_events_);
-  if (ring.total_pushed() < trace_total_) trace_tally_seen_.fill(0);
-  trace_total_ = ring.total_pushed();
-  for (std::size_t k = 0; k < obs::TraceRing::kKindTallySlots; ++k) {
-    const std::uint64_t now = ring.kind_tally(static_cast<std::uint8_t>(k));
-    trace_tally_[k] = now;
-    if (now > trace_tally_seen_[k]) {
-      obs::counter("observatory.trace." +
-                   std::string(trace_kind_name(k)))
-          .inc(now - trace_tally_seen_[k]);
-      trace_tally_seen_[k] = now;
+  // The counters are bumped after mu_ is released: a /metrics scrape holds
+  // the registry lock while its probes take mu_.
+  std::array<std::uint64_t, obs::TraceRing::kKindTallySlots> fresh{};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ring.events_into(trace_events_);
+    if (ring.total_pushed() < trace_total_) trace_tally_seen_.fill(0);
+    trace_total_ = ring.total_pushed();
+    for (std::size_t k = 0; k < fresh.size(); ++k) {
+      const std::uint64_t now = ring.kind_tally(static_cast<std::uint8_t>(k));
+      trace_tally_[k] = now;
+      if (now > trace_tally_seen_[k]) {
+        fresh[k] = now - trace_tally_seen_[k];
+        trace_tally_seen_[k] = now;
+      }
     }
   }
+  for (std::size_t k = 0; k < fresh.size(); ++k)
+    if (fresh[k] > 0)
+      obs::counter("observatory.trace." + std::string(trace_kind_name(k)))
+          .inc(fresh[k]);
 }
 
 std::uint64_t Observatory::events_ingested() const {

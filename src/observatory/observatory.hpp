@@ -28,10 +28,10 @@
 //   GET /trace            — the latest captured hop-trace window
 //
 // Threading: producers call ingest()/note_*() (the StreamDriver thread
-// and/or the IngestServer's drain thread); the HttpServer's accept thread
-// calls the render methods. Every touch of streaming state goes through
-// one mutex — scrape cost lands on the scraper, never on the simulation
-// hot path.
+// and/or the IngestServer's drain thread); the HttpServer calls the render
+// methods on one thread per request, so concurrent scrapes overlap. Every
+// touch of streaming state goes through one mutex — scrape cost lands on
+// the scraper, never on the simulation hot path.
 #pragma once
 
 #include <array>

@@ -9,7 +9,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "observatory/http.hpp"
 #include "observatory/ingest.hpp"
 #include "observatory/observatory.hpp"
+#include "observatory/socket_server.hpp"
 #include "super/wire.hpp"
 
 namespace cgn {
@@ -421,6 +424,43 @@ TEST_F(ObservatoryIngestServerTest, ShedPolicyDropsDeterministicallyAndCounts) {
   EXPECT_EQ(server_->cursor("shed"), events.size());
 }
 
+TEST_F(ObservatoryIngestServerTest, ConnectionPastTheCapIsClosed) {
+  std::vector<std::unique_ptr<RawIngestClient>> held;
+  for (std::size_t i = 0; i < observatory::SocketServer::kMaxConnections; ++i)
+    held.push_back(std::make_unique<RawIngestClient>(obs_->ingest_port()));
+  ASSERT_TRUE(eventually([&] {
+    return server_->stats().connections ==
+           observatory::SocketServer::kMaxConnections;
+  }));
+
+  RawIngestClient extra(obs_->ingest_port());
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(extra.drain(), "") << "closed at accept, before any reply";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(server_->stats().connections,
+            observatory::SocketServer::kMaxConnections);
+}
+
+TEST_F(ObservatoryIngestServerTest, EmptyPushCycleIsNotStalledByDelayedAck) {
+  std::vector<double> cycle_ms;
+  for (int i = 0; i < 5; ++i) {
+    observatory::PushClientConfig cfg;
+    cfg.port = obs_->ingest_port();
+    cfg.campaign = "empty";
+    cfg.world_seed = 1;
+    cfg.plan_hash = 2;
+    const auto t0 = std::chrono::steady_clock::now();
+    observatory::PushClient client(cfg);
+    client.connect();
+    client.note_stream_done();
+    cycle_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+  }
+  std::sort(cycle_ms.begin(), cycle_ms.end());
+  EXPECT_LT(cycle_ms[2], 20.0) << "median hello -> done_ack cycle, ms";
+}
+
 TEST_F(ObservatoryIngestServerTest, ReconnectResumeReproducesFigures) {
   const std::vector<StreamEvent> events = synthetic_stream();
 
@@ -524,11 +564,9 @@ class ObservatoryHttpHardeningTest : public ::testing::Test {
 };
 
 TEST_F(ObservatoryHttpHardeningTest, OversizedRequestHeadGets431) {
-  observatory::HttpServerConfig cfg;
-  cfg.max_request_bytes = 512;
-  start(cfg);
+  start();
   RawIngestClient c(server_.port());
-  c.send_bytes("GET /" + std::string(2048, 'a'));
+  c.send_bytes("GET /" + std::string(observatory::kMaxHttpRequestBytes, 'a'));
   EXPECT_NE(c.drain().find("431"), std::string::npos);
 }
 
@@ -541,9 +579,13 @@ TEST_F(ObservatoryHttpHardeningTest, EmbeddedNulGets400) {
 
 TEST_F(ObservatoryHttpHardeningTest, RequestBodyGets413) {
   start();
-  RawIngestClient c(server_.port());
-  c.send_bytes("GET /health HTTP/1.0\r\nContent-Length: 4\r\n\r\nabcd");
-  EXPECT_NE(c.drain().find("413"), std::string::npos);
+  // 2^64 must not wrap to a zero length and slip through.
+  for (const char* length : {"4", "18446744073709551616"}) {
+    RawIngestClient c(server_.port());
+    c.send_bytes(std::string("GET /health HTTP/1.0\r\nContent-Length: ") +
+                 length + "\r\n\r\nabcd");
+    EXPECT_NE(c.drain().find("413"), std::string::npos) << length;
+  }
 }
 
 TEST_F(ObservatoryHttpHardeningTest, SlowLorisGets408OnRecvTimeout) {
@@ -555,6 +597,26 @@ TEST_F(ObservatoryHttpHardeningTest, SlowLorisGets408OnRecvTimeout) {
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_NE(c.drain().find("408"), std::string::npos);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
+}
+
+TEST_F(ObservatoryHttpHardeningTest, StalledClientBlocksNeitherOthersNorStop) {
+  observatory::HttpServerConfig cfg;
+  cfg.recv_timeout_ms = 2000;
+  start(cfg);
+  RawIngestClient loris(server_.port());
+  loris.send_bytes("GET /hea");  // never finishes the request line
+
+  const auto t0 = std::chrono::steady_clock::now();
+  RawIngestClient c(server_.port());
+  c.send_bytes("GET /health HTTP/1.0\r\n\r\n");
+  EXPECT_NE(c.drain().find("ok:/health"), std::string::npos);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+      << "a second scrape must not wait out the stalled one";
+
+  const auto t1 = std::chrono::steady_clock::now();
+  server_.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t1, std::chrono::seconds(1))
+      << "stop() must not wait out the stalled connection";
 }
 
 TEST_F(ObservatoryHttpHardeningTest, BareRequestLineIsStillServed) {
