@@ -4,6 +4,9 @@
 // (/proc/self/status VmHWM), so each scale must start from a clean slate —
 // builds a lazy world, materializes every planned line plus the silent-line
 // ballast, times a warmed NAT444 echo round trip, and reports one JSON line.
+// Besides the process-wide peak RSS it reports the heap the materialization
+// itself took per home (lines sharing a LAN count as one home), the figure
+// the per-device state layout (NAT slab, port sets, ...) moves directly.
 // The parent aggregates the per-scale samples into BENCH_scale_sweep.json
 // under `scale_<tag>_*` keys that scripts/bench_compare.py gates (peak-RSS
 // regressions warn at >10% and fail at >30% against the committed baseline).
@@ -22,9 +25,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #ifdef __linux__
+#include <malloc.h>
 #include <sys/resource.h>
 #include <unistd.h>
 #endif
@@ -58,6 +63,18 @@ long peak_rss_kib() {
   return 0;
 }
 
+/// Bytes the allocator currently hands out (small-chunk arenas plus mmapped
+/// blocks, across all malloc arenas); 0 where mallinfo2 is unavailable.
+double heap_in_use_bytes() {
+#if defined(__linux__) && defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks + mi.hblkhd);
+#else
+  return 0.0;
+#endif
+}
+
 volatile std::uint64_t g_sink = 0;  // keeps the timed loop observable
 
 template <typename Fn>
@@ -80,15 +97,26 @@ int run_child() {
   auto internet = scenario::build_internet(cfg);
   auto t1 = std::chrono::steady_clock::now();
 
+  const double heap0 = heap_in_use_bytes();
   internet->materialize_all();
   std::size_t silent_built = 0;
   for (scenario::IspInstance& isp : internet->isps)
     silent_built += internet->materialize_silent_lines(isp);
   auto t2 = std::chrono::steady_clock::now();
+  const double heap = heap_in_use_bytes() - heap0;
 
+  // Silent lines are single-device homes; planned lines sharing a LAN
+  // share a home_id within their ISP.
   std::size_t lines = silent_built;
-  for (const scenario::IspInstance& isp : internet->isps)
+  std::size_t homes = silent_built;
+  for (const scenario::IspInstance& isp : internet->isps) {
     lines += isp.subscribers.size();
+    std::unordered_set<int> ids;
+    for (const scenario::Subscriber& s : isp.subscribers)
+      if (ids.insert(s.home_id).second) ++homes;
+  }
+  const double bytes_per_home =
+      homes == 0 ? 0.0 : heap / static_cast<double>(homes);
 
   // Warmed NAT444 echo round trip — same fixture as bench_perf_micro: a
   // line behind both a CPE NAT and the CGN, pinging the Netalyzr echo
@@ -132,7 +160,8 @@ int run_child() {
   os << "@scale_sweep {\"scale\":" << bench::env_double("CGN_BENCH_SCALE", 0.4)
      << ",\"rss_kib\":" << peak_rss_kib() << ",\"ns_per_packet\":" << echo_ns
      << ",\"build_s\":" << build_s << ",\"materialize_s\":" << materialize_s
-     << ",\"subscribers\":" << lines << "}";
+     << ",\"subscribers\":" << lines
+     << ",\"bytes_per_home\":" << bytes_per_home << "}";
   std::cout << os.str() << std::endl;
   return 0;
 }
@@ -181,7 +210,7 @@ int main(int argc, char** argv) {
   bench::Figures figures;
   bool ok = true;
   std::cout << "  scale     subscribers    peak RSS      ns/packet   "
-               "build s   materialize s\n";
+               "build s   materialize s   B/home\n";
   for (const std::string& scale : scales) {
     // One process per scale: VmHWM is a lifetime high-watermark, so a
     // shared process would report every scale at the scale-10 peak.
@@ -218,13 +247,15 @@ int main(int argc, char** argv) {
     const double build_s = extract(sample, "build_s");
     const double mat_s = extract(sample, "materialize_s");
     const double subs = extract(sample, "subscribers");
+    const double per_home = extract(sample, "bytes_per_home");
     figures.emplace_back("scale_" + tag + "_rss_kib", rss);
     figures.emplace_back("scale_" + tag + "_ns_per_packet", ns);
     figures.emplace_back("scale_" + tag + "_build_s", build_s);
     figures.emplace_back("scale_" + tag + "_materialize_s", mat_s);
     figures.emplace_back("scale_" + tag + "_subscribers", subs);
-    std::printf("  %-8s %12.0f %9.0f KiB %12.1f %9.2f %15.2f\n",
-                scale.c_str(), subs, rss, ns, build_s, mat_s);
+    figures.emplace_back("scale_" + tag + "_bytes_per_home", per_home);
+    std::printf("  %-8s %12.0f %9.0f KiB %12.1f %9.2f %15.2f %12.0f\n",
+                scale.c_str(), subs, rss, ns, build_s, mat_s, per_home);
   }
 
   if (figures.empty()) {

@@ -28,13 +28,16 @@ not noise), and ingest_max_lag must not exceed ingest_queue_capacity
 
 Scale-sweep files (bench == "scale_sweep", from bench_scale_sweep) take a
 different comparison path: for every scale tag present on both sides the
-peak RSS (scale_<tag>_rss_kib) and hot-path latency
+peak RSS (scale_<tag>_rss_kib), the heap per materialized home
+(scale_<tag>_bytes_per_home) and hot-path latency
 (scale_<tag>_ns_per_packet) are gated (warn >10%, fail >30% growth vs
 bench/baselines/scale_sweep.json); build/materialize walls only warn. The
 schema check additionally requires every rss figure to be a positive
-number paired with a ns_per_packet figure for the same tag. A smoke run
-that only sweeps the small scales still gates — tags missing from the
-fresh file are skipped, not failed.
+number paired with a ns_per_packet figure for the same tag, and every
+bytes_per_home figure to be positive (files recorded before it existed
+carry none and still validate). A smoke run that only sweeps the small
+scales still gates — tags missing from the fresh file are skipped, not
+failed.
 
 Bad input (missing file, malformed JSON, a baseline that is not a bench
 JSON) exits 2 with a one-line diagnosis, never a traceback; a genuine
@@ -157,6 +160,12 @@ def check_schema(doc, path):
         if doc["figures"][ns_key] < 0:
             raise BadInput(f"{path}: figure \"{ns_key}\" = "
                            f"{doc['figures'][ns_key]} is negative")
+        # Materializing homes always allocates: a zero here means the heap
+        # probe (mallinfo2) was unavailable or the delta was lost.
+        per_home = doc["figures"].get(f"scale_{tag}_bytes_per_home")
+        if per_home is not None and per_home <= 0:
+            raise BadInput(f"{path}: figure \"scale_{tag}_bytes_per_home\" "
+                           f"= {per_home} — heap per home must be positive")
     # Push-ingestion soak figures: counters can never go negative, a
     # recorded figure mismatch means streaming==batch determinism broke,
     # and lag above the configured queue capacity means the "bounded"
@@ -305,8 +314,9 @@ def compare_scale(baseline, figures):
         if tag not in tags:
             tags.append(tag)
     for tag in tags:
-        for metric, gates in (("rss_kib", True), ("ns_per_packet", True),
-                              ("build_s", False), ("materialize_s", False)):
+        for metric, gates in (("rss_kib", True), ("bytes_per_home", True),
+                              ("ns_per_packet", True), ("build_s", False),
+                              ("materialize_s", False)):
             key = f"scale_{tag}_{metric}"
             compare(f"figures.{key}", base_figs.get(key), figures.get(key),
                     gates=gates)

@@ -13,7 +13,7 @@
 #            (see scripts/bench_smoke.sh and scripts/bench_compare.py)
 #   scale    scale-sweep smoke: bench_scale_sweep at scales 0.4 and 1
 #            (CGN_SCALE_STAGE_SCALES overrides; the nightly workflow passes
-#            0.4,1,4), peak RSS and ns/packet gated against
+#            0.4,1,4,10), peak RSS, heap per home and ns/packet gated against
 #            bench/baselines/scale_sweep.json (see scripts/scale_smoke.sh)
 #   recovery kill → resume differential smoke (build/): ctest -R
 #            'SuperRecovery' serial and at 4 workers — resumed campaigns

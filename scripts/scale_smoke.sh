@@ -7,10 +7,11 @@
 #     process so peak RSS (/proc/self/status VmHWM) is per-scale;
 #  2. the resulting BENCH_scale_sweep.json is schema-checked (every
 #     scale_<tag>_rss_kib positive and paired with its ns_per_packet
-#     sibling) and gated against bench/baselines/scale_sweep.json via
-#     scripts/bench_compare.py: peak RSS or ns/packet growth beyond 10%
-#     warns, beyond 30% fails. Scales the run didn't sweep are skipped,
-#     so the smoke subset still gates against the full committed baseline.
+#     sibling, every scale_<tag>_bytes_per_home positive) and gated against
+#     bench/baselines/scale_sweep.json via scripts/bench_compare.py: peak
+#     RSS, heap per home or ns/packet growth beyond 10% warns, beyond 30%
+#     fails. Scales the run didn't sweep are skipped, so the smoke subset
+#     still gates against the full committed baseline.
 #
 # The JSON artifact lands in <builddir>/scale-smoke/ for upload.
 #

@@ -1,14 +1,16 @@
 #pragma once
 // Chunked object slab with stable addresses and 32-bit handles.
 //
-// `Arena<T>` owns its objects in fixed-size chunks (no reallocation ever
-// moves a live object), hands out dense `std::uint32_t` handles instead of
-// pointers, and recycles erased slots through a LIFO free list. Compared to
-// the `std::vector<std::unique_ptr<T>>` ownership pattern it replaces:
+// `Arena<T>` owns its objects in geometrically growing chunks (no
+// reallocation ever moves a live object), hands out dense `std::uint32_t`
+// handles instead of pointers, and recycles erased slots through a LIFO
+// free list. Compared to the `std::vector<std::unique_ptr<T>>` ownership
+// pattern it replaces:
 //
-//   * one allocation per `ChunkSize` objects instead of one per object
-//     (orders of magnitude fewer malloc calls and ~16 bytes/object less
-//     header overhead at million-object scale);
+//   * chunk k holds `kFirstChunk << k` slots, so an arena pays for what it
+//     uses: a home CPE with a handful of mappings holds one 16-slot chunk,
+//     while a carrier NAT with 100k mappings needs only ~13 allocations
+//     (and ~16 bytes/object less header overhead than one malloc each);
 //   * handles are half the size of pointers, so side tables that reference
 //     arena entries (e.g. the NAT translation maps) shrink accordingly;
 //   * erase + emplace reuse is deterministic: the most recently freed slot
@@ -22,6 +24,7 @@
 // Not thread-safe; external synchronisation required, same as the flat
 // containers next door.
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -32,14 +35,13 @@
 
 namespace cgn::flat {
 
-template <typename T, std::size_t ChunkSize = 1024>
+template <typename T>
 class Arena {
-  static_assert(ChunkSize > 0 && (ChunkSize & (ChunkSize - 1)) == 0,
-                "ChunkSize must be a power of two");
-
  public:
   using Handle = std::uint32_t;
   static constexpr Handle kNoHandle = 0xFFFFFFFFu;
+  /// Slots in chunk 0; chunk k holds `kFirstChunk << k`.
+  static constexpr std::size_t kFirstChunk = 16;
 
   Arena() = default;
   Arena(const Arena&) = delete;
@@ -69,8 +71,8 @@ class Arena {
   ~Arena() { destroy_all(); }
 
   /// Constructs a T in a free slot and returns its handle. Reuses the most
-  /// recently erased slot first; otherwise appends (growing by one chunk
-  /// when the current one is full).
+  /// recently erased slot first; otherwise appends (growing by one chunk,
+  /// twice the size of the last, when the current one is full).
   template <typename... Args>
   Handle emplace(Args&&... args) {
     Handle h;
@@ -79,9 +81,12 @@ class Arena {
       free_.pop_back();
     } else {
       h = end_;
-      if ((end_ >> kShift) == chunks_.size()) {
-        chunks_.push_back(std::make_unique<Slot[]>(ChunkSize));
-        live_.resize(live_.size() + ChunkSize, 0);
+      if (end_ == live_.size()) {
+        const std::size_t n = kFirstChunk << chunks_.size();
+        // Every slot is built by placement-new before it is read, so the
+        // chunk is left uninitialised rather than zero-filled.
+        chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(n));
+        live_.resize(live_.size() + n, 0);
       }
       ++end_;
     }
@@ -116,9 +121,7 @@ class Arena {
   /// Slots ever handed out (high-water mark), live or not.
   std::size_t slots() const { return end_; }
   /// Bytes reserved for object storage across all chunks.
-  std::size_t capacity_bytes() const {
-    return chunks_.size() * ChunkSize * sizeof(T);
-  }
+  std::size_t capacity_bytes() const { return live_.size() * sizeof(T); }
 
   /// Destroys all live objects and resets the free list; chunk memory is
   /// kept for reuse (mirrors PortSet::clear()).
@@ -149,15 +152,21 @@ class Arena {
   struct alignas(alignof(T)) Slot {
     unsigned char bytes[sizeof(T)];
   };
-  static constexpr std::uint32_t kShift = [] {
-    std::uint32_t s = 0;
-    while ((std::size_t{1} << s) < ChunkSize) ++s;
-    return s;
-  }();
-  static constexpr std::uint32_t kMask = ChunkSize - 1;
+  static_assert(std::has_single_bit(kFirstChunk),
+                "kFirstChunk must be a power of two");
+  static constexpr int kFirstShift = std::countr_zero(kFirstChunk);
 
-  Slot* slot(Handle h) { return &chunks_[h >> kShift][h & kMask]; }
-  const Slot* slot(Handle h) const { return &chunks_[h >> kShift][h & kMask]; }
+  // Chunk k covers handles [kFirstChunk * (2^k - 1), kFirstChunk * (2^(k+1)
+  // - 1)); biasing the handle by kFirstChunk turns that into "the position
+  // of the top set bit", one bit_width away.
+  const Slot* slot(Handle h) const {
+    const std::size_t v = std::size_t{h} + kFirstChunk;
+    const int k = std::bit_width(v) - 1 - kFirstShift;
+    return &chunks_[k][v - (kFirstChunk << k)];
+  }
+  Slot* slot(Handle h) {
+    return const_cast<Slot*>(std::as_const(*this).slot(h));
+  }
 
   void destroy_all() {
     for (Handle h = 0; h < end_; ++h)
@@ -165,7 +174,7 @@ class Arena {
   }
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<std::uint8_t> live_;
+  std::vector<std::uint8_t> live_;  // one flag per slot in every chunk
   std::vector<Handle> free_;
   Handle end_ = 0;       // one past the highest slot ever handed out
   std::size_t size_ = 0; // live objects

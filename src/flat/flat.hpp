@@ -458,20 +458,36 @@ class FlatSet
 
 // --- PortSet ---------------------------------------------------------------
 
-/// Membership set over the full 16-bit port space as a flat bitmap: 8 KiB,
-/// O(1) everything, no hashing, no per-insert allocation. The word array is
-/// allocated on first insert so idle NAT devices (most CPEs in a large
-/// world) stay tiny; clear() keeps the allocation, matching the restart
-/// path's reuse pattern.
+/// Membership set over the 16-bit port space, sized by use. Up to
+/// `kInline` ports live in an unsorted inline array (a home CPE's whole
+/// port set, no allocation at all); the insert that would exceed that
+/// promotes the set to an 8 KiB bitmap — O(1) everything, no hashing, no
+/// per-insert allocation — which it keeps until clear(). clear() returns to
+/// inline mode but keeps the bitmap allocation, so a re-promotion after the
+/// restart path's flush allocates nothing. Nothing iterates a PortSet, so
+/// the inline order is free to change under erase.
 class PortSet {
  public:
+  static constexpr std::size_t kInline = 12;
+  static constexpr std::size_t kBitmapBytes = (std::size_t{1} << 16) / 8;
+
   [[nodiscard]] bool contains(std::uint16_t p) const noexcept {
-    return words_ && (words_[p >> 6] >> (p & 63)) & 1u;
+    if (bitmap_) return (words_[p >> 6] >> (p & 63)) & 1u;
+    for (std::uint32_t i = 0; i < size_; ++i)
+      if (inline_[i] == p) return true;
+    return false;
   }
 
   /// Returns true when `p` was newly inserted.
   bool insert(std::uint16_t p) {
-    if (!words_) words_ = std::make_unique<std::uint64_t[]>(kWords);
+    if (!bitmap_) {
+      if (contains(p)) return false;
+      if (size_ < kInline) {
+        inline_[size_++] = p;
+        return true;
+      }
+      promote();
+    }
     std::uint64_t& w = words_[p >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (p & 63);
     if (w & bit) return false;
@@ -482,6 +498,14 @@ class PortSet {
 
   /// Returns 1 when `p` was present (erase-count, like the std containers).
   std::size_t erase(std::uint16_t p) noexcept {
+    if (!bitmap_) {
+      for (std::uint32_t i = 0; i < size_; ++i)
+        if (inline_[i] == p) {
+          inline_[i] = inline_[--size_];
+          return 1;
+        }
+      return 0;
+    }
     if (!contains(p)) return 0;
     words_[p >> 6] &= ~(std::uint64_t{1} << (p & 63));
     --size_;
@@ -490,17 +514,34 @@ class PortSet {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Heap bytes held: the bitmap once the set has ever been promoted.
+  [[nodiscard]] std::size_t heap_bytes() const noexcept {
+    return words_ ? kBitmapBytes : 0;
+  }
 
   void clear() noexcept {
-    if (words_ && size_ != 0)
-      std::memset(words_.get(), 0, kWords * sizeof(std::uint64_t));
+    bitmap_ = false;
     size_ = 0;
   }
 
  private:
-  static constexpr std::size_t kWords = (1u << 16) / 64;
+  static constexpr std::size_t kWords = kBitmapBytes / sizeof(std::uint64_t);
+
+  // Moves the inline ports into the bitmap (allocated on first promotion,
+  // reused after clear()).
+  void promote() {
+    if (!words_)
+      words_ = std::make_unique_for_overwrite<std::uint64_t[]>(kWords);
+    std::memset(words_.get(), 0, kBitmapBytes);
+    for (std::uint32_t i = 0; i < size_; ++i)
+      words_[inline_[i] >> 6] |= std::uint64_t{1} << (inline_[i] & 63);
+    bitmap_ = true;
+  }
+
   std::unique_ptr<std::uint64_t[]> words_;
   std::uint32_t size_ = 0;
+  bool bitmap_ = false;
+  std::uint16_t inline_[kInline] = {};
 };
 
 }  // namespace cgn::flat

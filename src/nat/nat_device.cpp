@@ -33,6 +33,18 @@ obs::Counter& g_pressure_drops = obs::counter("nat.fault_pressure_drops");
 obs::Gauge& g_active_mappings = obs::gauge("nat.active_mappings");
 obs::Gauge& g_ports_in_use = obs::gauge("nat.ports_in_use");
 obs::Gauge& g_port_capacity = obs::gauge("nat.port_capacity");
+// Memory ledger: bytes the NAT state holds, moved only when the mapping
+// slab grows a chunk or a port set is promoted to its bitmap.
+obs::Gauge& g_slab_bytes = obs::gauge("mem.nat.slab_bytes");
+obs::Gauge& g_portset_bytes = obs::gauge("mem.nat.portset_bytes");
+
+/// Inserts `p`, charging a bitmap the insert allocates to the ledger.
+void insert_port(flat::PortSet& set, std::uint16_t p) {
+  const std::size_t before = set.heap_bytes();
+  set.insert(p);
+  if (set.heap_bytes() != before)
+    g_portset_bytes.add(static_cast<std::int64_t>(set.heap_bytes() - before));
+}
 
 // Derived port-pool pressure, sampled at export time.
 [[maybe_unused]] const bool g_probe_registered = [] {
@@ -129,6 +141,11 @@ NatDevice::~NatDevice() {
       static_cast<std::int64_t>(config_.port_max) - config_.port_min + 1;
   g_port_capacity.sub(static_cast<std::int64_t>(pool_.size()) *
                       ports_per_proto * 2);
+  std::size_t portset_bytes = 0;
+  for (const auto* sets : {&used_ports_udp_, &used_ports_tcp_, &chunks_taken_})
+    for (const auto& set : *sets) portset_bytes += set.heap_bytes();
+  g_portset_bytes.sub(static_cast<std::int64_t>(portset_bytes));
+  g_slab_bytes.sub(static_cast<std::int64_t>(slab_.capacity_bytes()));
 }
 
 bool NatDevice::owns_external(netcore::Ipv4Address a) const {
@@ -415,7 +432,7 @@ NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
         // port comes out of this pool member, release the chunk and drop
         // the subscriber entry before trying the next member, so the
         // stored pair always matches the ports actually allocated.
-        taken.insert(*chunk);
+        insert_port(taken, *chunk);
         it = subscriber_chunks_
                  .emplace(internal_ip,
                           std::make_pair(candidate, static_cast<std::uint16_t>(
@@ -470,9 +487,13 @@ NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
 
   auto& used = key.proto == netcore::Protocol::udp ? used_ports_udp_[pool_idx]
                                                    : used_ports_tcp_[pool_idx];
-  used.insert(*port);
+  insert_port(used, *port);
 
+  const std::size_t slab_before = slab_.capacity_bytes();
   const std::uint32_t h = slab_.emplace();
+  if (slab_.capacity_bytes() != slab_before)
+    g_slab_bytes.add(
+        static_cast<std::int64_t>(slab_.capacity_bytes() - slab_before));
   Mapping& m = slab_[h];
   m.key = key;
   m.external = netcore::Endpoint{pool_[pool_idx], *port};

@@ -46,7 +46,8 @@ class NatDevice final : public sim::Middlebox {
   NatDevice(NatConfig config, std::vector<netcore::Ipv4Address> external_pool,
             sim::Rng rng);
   /// Rolls the device's live state out of the global obs gauges
-  /// (nat.active_mappings, nat.ports_in_use, nat.port_capacity).
+  /// (nat.active_mappings, nat.ports_in_use, nat.port_capacity) and its
+  /// memory out of the ledger (mem.nat.slab_bytes, mem.nat.portset_bytes).
   ~NatDevice() override;
 
   NatDevice(const NatDevice&) = delete;
@@ -232,7 +233,8 @@ class NatDevice final : public sim::Middlebox {
   flat::FlatMap<OutKey, std::uint32_t, OutKeyHash> mappings_;
   flat::FlatMap<InKey, std::uint32_t, InKeyHash> by_external_;
 
-  // Per (pool index, protocol) used ports, as 16-bit-port-space bitmaps.
+  // Per (pool index, protocol) used ports (inline up to a dozen, then a
+  // 16-bit-port-space bitmap).
   std::vector<flat::PortSet> used_ports_udp_;
   std::vector<flat::PortSet> used_ports_tcp_;
   // Sequential allocation cursors per pool index.

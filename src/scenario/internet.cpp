@@ -421,9 +421,14 @@ class InternetBuilder {
     dht::DhtNodeConfig boot_cfg;
     boot_cfg.table_capacity = 4096;
     boot_cfg.validate_before_propagate = false;  // bootstrap hands out leads
+    // Two draws, sequenced explicitly: argument evaluation order is
+    // unspecified, and the worlds were first built with GCC's right-to-left
+    // order (the rng_.fork() engine draw before the node-id draw).
+    sim::Rng boot_rng = rng_.fork();
+    const dht::NodeId160 boot_id = dht::NodeId160::random(rng_);
     s.bootstrap = std::make_unique<dht::DhtNode>(
-        dht::NodeId160::random(rng_), netcore::Endpoint{boot_addr, 6881},
-        s.bootstrap_host, boot_cfg, rng_.fork());
+        boot_id, netcore::Endpoint{boot_addr, 6881}, s.bootstrap_host,
+        boot_cfg, std::move(boot_rng));
     s.bootstrap_endpoint = {boot_addr, 6881};
     {
       dht::DhtNode* boot = s.bootstrap.get();

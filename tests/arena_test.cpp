@@ -54,10 +54,10 @@ TEST(Arena, ReusesMostRecentlyErasedSlot) {
 }
 
 TEST(Arena, PointersStableAcrossChunkGrowth) {
-  Arena<std::uint64_t, 64> a;
-  std::vector<std::pair<Arena<std::uint64_t, 64>::Handle, std::uint64_t*>>
-      held;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
+  Arena<std::uint64_t> a;
+  std::vector<std::pair<Arena<std::uint64_t>::Handle, std::uint64_t*>> held;
+  // Past 10k slots: chunks 0..9 (16 << 9 = 8192 slots in the last one).
+  for (std::uint64_t i = 0; i < 12'000; ++i) {
     auto h = a.emplace(i);
     held.emplace_back(h, &a[h]);
   }
@@ -69,6 +69,46 @@ TEST(Arena, PointersStableAcrossChunkGrowth) {
   }
 }
 
+// Chunk k holds 16 << k slots, so chunk boundaries fall at handles 16, 48,
+// 112, ...: every handle on either side must resolve to its own object, and
+// capacity must grow by exactly one (doubled) chunk at each boundary.
+TEST(Arena, GeometricChunkBoundaries) {
+  Arena<std::uint64_t> a;
+  constexpr std::size_t kSlot = sizeof(std::uint64_t);
+  EXPECT_EQ(a.capacity_bytes(), 0u);
+  std::size_t expected_slots = 0;
+  std::size_t next_chunk = Arena<std::uint64_t>::kFirstChunk;
+  std::vector<std::uint64_t*> addr;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    if (i == expected_slots) {  // this emplace must open a new chunk
+      expected_slots += next_chunk;
+      next_chunk *= 2;
+    }
+    ASSERT_EQ(a.emplace(i), i) << "handles are dense, in emplace order";
+    ASSERT_EQ(a.capacity_bytes(), expected_slots * kSlot) << "handle " << i;
+    addr.push_back(&a[i]);
+  }
+  EXPECT_EQ(expected_slots, 16u + 32 + 64 + 128 + 256 + 512);
+  for (std::uint32_t h : {15u, 16u, 47u, 48u, 111u, 112u}) {
+    EXPECT_EQ(a[h], h);
+    // Slots next to each other in one chunk are adjacent in memory; across
+    // a boundary they live in different allocations.
+    const bool boundary = h == 16 || h == 48 || h == 112;
+    if (!boundary) {
+      EXPECT_EQ(addr[h] - addr[h - 1], 1) << h;
+    }
+  }
+  for (std::uint32_t h = 0; h < 500; ++h) ASSERT_EQ(a[h], h);
+  // clear() keeps every chunk; refilling allocates nothing new.
+  const std::size_t cap = a.capacity_bytes();
+  a.clear();
+  EXPECT_EQ(a.capacity_bytes(), cap);
+  for (std::uint32_t i = 0; i < 500; ++i) ASSERT_EQ(a.emplace(i), i);
+  EXPECT_EQ(a.capacity_bytes(), cap);
+  EXPECT_EQ(&a[0], addr[0]);
+  EXPECT_EQ(&a[499], addr[499]);
+}
+
 TEST(Arena, NonMovableTypesConstructInPlace) {
   struct Pinned {
     explicit Pinned(int v) : value(v) {}
@@ -77,7 +117,7 @@ TEST(Arena, NonMovableTypesConstructInPlace) {
     Pinned(Pinned&&) = delete;
     int value;
   };
-  Arena<Pinned, 8> a;
+  Arena<Pinned> a;
   auto h = a.emplace(42);
   EXPECT_EQ(a[h].value, 42);
 }
@@ -89,8 +129,8 @@ TEST(Arena, DestructorsRunOnEraseAndClear) {
     ~Counted() { --live; }
   };
   {
-    Arena<Counted, 8> a;
-    std::vector<Arena<Counted, 8>::Handle> hs;
+    Arena<Counted> a;
+    std::vector<Arena<Counted>::Handle> hs;
     for (int i = 0; i < 20; ++i) hs.push_back(a.emplace());
     EXPECT_EQ(live, 20);
     a.erase(hs[3]);
@@ -106,7 +146,7 @@ TEST(Arena, DestructorsRunOnEraseAndClear) {
 }
 
 TEST(Arena, ForEachVisitsLiveSlotsInSlotOrder) {
-  Arena<int, 8> a;
+  Arena<int> a;
   auto h0 = a.emplace(0);
   a.emplace(1);
   auto h2 = a.emplace(2);
@@ -124,7 +164,7 @@ TEST(Arena, ForEachVisitsLiveSlotsInSlotOrder) {
 // reuse across chunk boundaries.
 TEST(Arena, ChurnDifferentialVsStdContainers) {
   cgn::sim::Rng rng(20260809);
-  Arena<std::string, 16> a;
+  Arena<std::string> a;
   std::unordered_map<std::uint32_t, std::string> ref;
   std::vector<std::uint32_t> handles;  // live handles, insertion order
   std::uint64_t next_value = 0;
@@ -164,12 +204,12 @@ TEST(Arena, ChurnDifferentialVsStdContainers) {
 }
 
 TEST(Arena, MoveTransfersOwnership) {
-  Arena<std::string, 8> a;
+  Arena<std::string> a;
   auto h = a.emplace("payload");
-  Arena<std::string, 8> b = std::move(a);
+  Arena<std::string> b = std::move(a);
   EXPECT_EQ(b[h], "payload");
   EXPECT_EQ(b.size(), 1u);
-  Arena<std::string, 8> c;
+  Arena<std::string> c;
   c.emplace("doomed");
   c = std::move(b);
   EXPECT_EQ(c[h], "payload");

@@ -310,4 +310,94 @@ TEST(PortSetDifferential, MatchesReference) {
   }
 }
 
+// Same differential, but around the inline→bitmap promotion: a narrow
+// keyspace keeps the set hovering near PortSet::kInline, so inserts
+// (duplicates included) and erases run in both modes, and periodic clear()s
+// land both before and after promotion — each followed by a re-promotion
+// that must reuse the kept bitmap.
+TEST(PortSetDifferential, AcrossPromotionThreshold) {
+  constexpr std::size_t kInline = PortSet::kInline;
+  cgn::sim::Rng rng(777);
+  PortSet s;
+  std::vector<bool> ref(65536, false);
+  std::size_t ref_size = 0;
+  bool promoted = false;  // since the last clear()
+  bool cleared_promoted = false;
+  int clears_inline = 0, clears_promoted = 0, repromotions = 0;
+  // Ports spread over the whole space so bitmap words differ.
+  std::vector<std::uint16_t> keys;
+  for (std::size_t k = 0; k < 2 * kInline; ++k)
+    keys.push_back(static_cast<std::uint16_t>(k * 2731 + 7));
+  for (int op = 0; op < 50'000; ++op) {
+    const std::uint16_t p = keys[rng.index(keys.size())];
+    const double roll = rng.uniform01();
+    if (roll < 0.55) {
+      EXPECT_EQ(s.insert(p), !ref[p]) << "op " << op;
+      if (!ref[p]) {
+        ref[p] = true;
+        ++ref_size;
+      }
+    } else if (roll < 0.99) {
+      EXPECT_EQ(s.erase(p), ref[p] ? 1u : 0u) << "op " << op;
+      if (ref[p]) {
+        ref[p] = false;
+        --ref_size;
+      }
+    } else {
+      ++(promoted ? clears_promoted : clears_inline);
+      cleared_promoted = promoted;
+      promoted = false;
+      s.clear();
+      std::fill(ref.begin(), ref.end(), false);
+      ref_size = 0;
+    }
+    ASSERT_EQ(s.size(), ref_size) << "op " << op;
+    ASSERT_EQ(s.empty(), ref_size == 0);
+    if (ref_size > kInline) {
+      // Past the threshold the set holds exactly one bitmap, however often
+      // it was cleared and re-promoted.
+      ASSERT_EQ(s.heap_bytes(), PortSet::kBitmapBytes);
+      if (!promoted && cleared_promoted) ++repromotions;
+      promoted = true;
+    }
+    if (op % 97 == 0) {
+      for (std::uint16_t k : keys) ASSERT_EQ(s.contains(k), ref[k]) << op;
+    }
+  }
+  EXPECT_GT(clears_inline, 0);
+  EXPECT_GT(clears_promoted, 0);
+  EXPECT_GT(repromotions, 0);
+  for (std::uint16_t k : keys) EXPECT_EQ(s.contains(k), ref[k]);
+}
+
+TEST(PortSet, PromotionKeepsMembersAndClearKeepsBitmap) {
+  PortSet s;
+  for (std::uint16_t p = 0; p < PortSet::kInline; ++p) {
+    EXPECT_TRUE(s.insert(static_cast<std::uint16_t>(p * 1000)));
+    EXPECT_FALSE(s.insert(static_cast<std::uint16_t>(p * 1000)));
+  }
+  EXPECT_EQ(s.heap_bytes(), 0u) << "a full inline set allocates nothing";
+  EXPECT_TRUE(s.insert(65535));  // promotes
+  EXPECT_EQ(s.heap_bytes(), PortSet::kBitmapBytes);
+  EXPECT_EQ(s.size(), PortSet::kInline + 1);
+  for (std::uint16_t p = 0; p < PortSet::kInline; ++p)
+    EXPECT_TRUE(s.contains(static_cast<std::uint16_t>(p * 1000)));
+  EXPECT_TRUE(s.contains(65535));
+  EXPECT_FALSE(s.contains(1));
+  // clear() drops back to inline mode but keeps the bitmap for reuse; the
+  // stale bits must not leak into the next promotion.
+  s.clear();
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.heap_bytes(), PortSet::kBitmapBytes);
+  EXPECT_FALSE(s.contains(65535));
+  for (std::uint16_t p = 1; p <= PortSet::kInline + 1; ++p)
+    EXPECT_TRUE(s.insert(p));
+  EXPECT_EQ(s.size(), PortSet::kInline + 1);
+  EXPECT_FALSE(s.contains(0));
+  EXPECT_FALSE(s.contains(65535));
+  EXPECT_EQ(s.erase(PortSet::kInline + 1), 1u);
+  EXPECT_EQ(s.erase(PortSet::kInline + 1), 0u);
+  EXPECT_EQ(s.size(), PortSet::kInline);
+}
+
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "test_topology.hpp"
 
 namespace cgn::nat {
@@ -474,6 +475,49 @@ TEST(NatDevice, GarbageCollectionReleasesOnlyExpired) {
   nat.collect_garbage(60.0);  // p1 idle 60 s (expired), p2 idle 20 s (live)
   EXPECT_EQ(nat.active_mappings(60.0), 1u);
   EXPECT_EQ(nat.stats().mappings_expired, 1u);
+}
+
+// Memory ledger: a home CPE pays for what it uses. Three mappings fit the
+// first 16-slot slab chunk and the inline port set, so the device is charged
+// one chunk and no bitmap. The 13th port on one (address, protocol) promotes
+// that set to its bitmap, the 17th mapping opens the 32-slot chunk, and
+// destroying the device rolls both gauges back.
+TEST(NatDevice, MemoryLedgerChargesOneChunkAndNoBitmapForACpe) {
+  if (!obs::kMetricsEnabled)
+    GTEST_SKIP() << "metrics compiled out (-DCGN_OBS=OFF)";
+  obs::Gauge& slab = obs::gauge("mem.nat.slab_bytes");
+  obs::Gauge& bitmaps = obs::gauge("mem.nat.portset_bytes");
+  const std::int64_t slab0 = slab.value();
+  const std::int64_t bitmaps0 = bitmaps.value();
+  {
+    NatDevice nat(base_config(), pool(1), sim::Rng(1));
+    EXPECT_EQ(slab.value(), slab0) << "an idle device holds no slab";
+    auto open = [&](std::uint16_t n) {
+      for (std::uint16_t i = 0; i < n; ++i) {
+        Packet p = out_packet(static_cast<std::uint16_t>(40000 + i));
+        ASSERT_EQ(nat.process_outbound(p, 0.0),
+                  sim::Middlebox::Verdict::forward);
+      }
+    };
+    open(3);
+    ASSERT_EQ(nat.active_mappings(0.0), 3u);
+    const std::int64_t chunk = slab.value() - slab0;
+    EXPECT_GT(chunk, 0);
+    EXPECT_EQ(chunk % 16, 0);
+    EXPECT_EQ(bitmaps.value(), bitmaps0) << "3 ports stay inline";
+
+    open(flat::PortSet::kInline);
+    EXPECT_EQ(bitmaps.value(), bitmaps0) << "a full inline set";
+    open(flat::PortSet::kInline + 1);
+    EXPECT_EQ(bitmaps.value() - bitmaps0,
+              static_cast<std::int64_t>(flat::PortSet::kBitmapBytes));
+    open(16);
+    EXPECT_EQ(slab.value() - slab0, chunk) << "16 mappings fit chunk 0";
+    open(17);
+    EXPECT_EQ(slab.value() - slab0, 3 * chunk) << "chunk 1 holds 32 slots";
+  }
+  EXPECT_EQ(slab.value(), slab0);
+  EXPECT_EQ(bitmaps.value(), bitmaps0);
 }
 
 }  // namespace
