@@ -11,11 +11,11 @@
 // under `scale_<tag>_*` keys that scripts/bench_compare.py gates (peak-RSS
 // regressions warn at >10% and fail at >30% against the committed baseline).
 //
-// Knobs: CGN_SCALE_SWEEP_SCALES (comma list, default "0.4,1,4,10"),
-// CGN_SILENT_LINES (ballast per CGN AS; default 850 here — enough that the
-// scale-10 world crosses 1,000,000 subscriber lines), plus the usual
-// CGN_BENCH_SEED. The sweep always builds lazily: plan and materialization
-// are timed as separate phases, which is the point of the lazy split.
+// Knobs: CGN_SCALE_SWEEP_SCALES (comma list, default "0.4,1,4,10") plus
+// the usual CGN_BENCH_SEED. Every CGN AS carries 850 silent ballast lines,
+// enough that the scale-10 world crosses 1,000,000 subscriber lines. The
+// sweep always builds lazily: plan and materialization are timed as
+// separate phases, which is the point of the lazy split.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -44,9 +44,9 @@ namespace {
 
 using namespace cgn;
 
-// Ballast per CGN AS when CGN_SILENT_LINES is unset: sized so the scale-10
-// world (see README "Scale") lands above one million subscriber lines.
-constexpr std::uint64_t kDefaultSilentLines = 850;
+// Ballast per CGN AS: sized so the scale-10 world (see README "Scale")
+// lands above one million subscriber lines.
+constexpr std::size_t kSilentLines = 850;
 
 /// Peak resident set in KiB: VmHWM from /proc/self/status (the process
 /// lifetime high-watermark), falling back to getrusage ru_maxrss.
@@ -90,8 +90,7 @@ double ns_per_op(Fn&& fn, int iters) {
 int run_child() {
   scenario::InternetConfig cfg = bench::scaled_config();
   cfg.lazy_build = true;  // the sweep measures the plan/materialize split
-  if (!std::getenv("CGN_SILENT_LINES"))
-    cfg.silent_lines_per_cgn_as = kDefaultSilentLines;
+  cfg.silent_lines_per_cgn_as = kSilentLines;
 
   auto t0 = std::chrono::steady_clock::now();
   auto internet = scenario::build_internet(cfg);
@@ -157,7 +156,7 @@ int run_child() {
   const double materialize_s = std::chrono::duration<double>(t2 - t1).count();
   std::ostringstream os;
   os.precision(12);
-  os << "@scale_sweep {\"scale\":" << bench::env_double("CGN_BENCH_SCALE", 0.4)
+  os << "@scale_sweep {\"scale\":" << bench::bench_scale()
      << ",\"rss_kib\":" << peak_rss_kib() << ",\"ns_per_packet\":" << echo_ns
      << ",\"build_s\":" << build_s << ",\"materialize_s\":" << materialize_s
      << ",\"subscribers\":" << lines

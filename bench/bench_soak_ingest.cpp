@@ -12,9 +12,9 @@
 // accepted event is either ingested or counted shed (bounded queue, fully
 // accounted degradation).
 //
-// Knobs: CGN_SOAK_DURATION_S (default 10), CGN_SOAK_PACE_US (default 0),
-// CGN_SOAK_QUEUE (default 1024) plus the usual CGN_BENCH_* / CGN_FAULT_* /
-// CGN_THREADS world knobs. Serves /metrics etc. while soaking and prints
+// Knobs: CGN_SOAK_DURATION_S (default 10) plus the usual CGN_BENCH_* /
+// CGN_FAULT_* / CGN_THREADS world knobs; events are pushed flat out into a
+// 1024-event ingest queue. Serves /metrics etc. while soaking and prints
 // the daemon's announce line so scrapers can attach. Exits nonzero on any
 // figure mismatch or accounting violation.
 #include <chrono>
@@ -53,13 +53,9 @@ struct CapturingSink : observatory::EventSink {
 /// drained the campaign — the overload leg must skip it, and reports, to
 /// keep the frozen queue exactly event-shaped).
 void feed(observatory::PushClient& client, const CapturingSink& capture,
-          int pace_us, bool full) {
+          bool full) {
   client.add_stream_total(capture.announced);
-  for (const observatory::StreamEvent& e : capture.events) {
-    client.ingest(e);
-    if (pace_us > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
-  }
+  for (const observatory::StreamEvent& e : capture.events) client.ingest(e);
   if (!full) return;
   for (const auto& [kind, report] : capture.reports)
     client.note_campaign_report(kind, report);
@@ -73,16 +69,8 @@ int main() {
                       "push-ingestion soak: figure convergence under "
                       "disconnects, resume and overload");
 
-  observatory::StreamDriverConfig driver_cfg;
-  driver_cfg.world = bench::scaled_config();
-  driver_cfg.crawl.crawl.retry = bench::retry_policy_from_env();
-  driver_cfg.crawl.supervise =
-      bench::supervisor_config_from_env("crawl_ping");
-  driver_cfg.netalyzr.retry = bench::retry_policy_from_env();
-  driver_cfg.netalyzr.transition_battery = driver_cfg.world.v6.enabled;
-  driver_cfg.netalyzr.supervise =
-      bench::supervisor_config_from_env("netalyzr");
-
+  const observatory::StreamDriverConfig driver_cfg =
+      observatory::stream_driver_config_from_env();
   observatory::StreamDriver driver(driver_cfg);
   CapturingSink capture;
   driver.run(capture);
@@ -106,8 +94,7 @@ int main() {
 
   observatory::Observatory live(driver.routes(), driver.registry());
   observatory::IngestConfig ingest_cfg;
-  ingest_cfg.queue_capacity =
-      static_cast<std::size_t>(bench::env_u64("CGN_SOAK_QUEUE", 1024));
+  ingest_cfg.queue_capacity = 1024;
   std::string error;
   if (!live.serve(0, &error) || !live.serve_ingest(0, ingest_cfg, &error)) {
     std::fprintf(stderr, "soak: cannot serve: %s\n", error.c_str());
@@ -121,8 +108,6 @@ int main() {
   std::fflush(stdout);
 
   const double duration_s = bench::env_double("CGN_SOAK_DURATION_S", 10.0);
-  const int pace_us =
-      static_cast<int>(bench::env_u64("CGN_SOAK_PACE_US", 0));
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(duration_s);
 
@@ -150,7 +135,7 @@ int main() {
     try {
       observatory::PushClient client(cfg);
       client.connect();
-      feed(client, capture, pace_us, true);
+      feed(client, capture, true);
       pushed = true;
     } catch (const observatory::IngestError&) {
       // Expected on fault cycles: reconnect clean and resume.
@@ -162,7 +147,7 @@ int main() {
       try {
         observatory::PushClient client(clean);
         client.connect();
-        feed(client, capture, pace_us, true);
+        feed(client, capture, true);
       } catch (const observatory::IngestError& e) {
         std::fprintf(stderr, "soak: cycle %llu resume failed: %s\n",
                      static_cast<unsigned long long>(cycles), e.what());
@@ -197,7 +182,7 @@ int main() {
       observatory::PushClient client(cfg);
       client.connect();
       // Events only: done would (correctly) block while the drain sleeps.
-      feed(client, capture, 0, false);
+      feed(client, capture, false);
     } catch (const observatory::IngestError& e) {
       std::fprintf(stderr, "soak: overload push failed: %s\n", e.what());
       overload_ok = false;

@@ -25,7 +25,6 @@
 #include "analysis/figures.hpp"
 #include "analysis/netalyzr_detector.hpp"
 #include "fault/fault.hpp"
-#include "fault/retry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "par/thread_pool.hpp"
@@ -38,12 +37,12 @@
 namespace cgn::bench {
 
 // The CGN_* environment parsing lives in scenario/env_config.hpp so the
-// observatory daemon reads the exact same knobs; these aliases keep the
-// historical cgn::bench spellings working.
+// observatory daemon reads the exact same knobs; these aliases give the
+// benches their cgn::bench spellings.
+using scenario::bench_scale;
+using scenario::bench_seed;
 using scenario::env_double;
-using scenario::env_u64;
 using scenario::fault_plan_from_env;
-using scenario::retry_policy_from_env;
 using scenario::scaled_config;
 using scenario::supervisor_config_from_env;
 
@@ -81,7 +80,6 @@ class World {
       cfg.enum_fraction = enum_fraction;
       cfg.stun_fraction = stun_fraction;
       cfg.transition_battery = transition_battery;
-      cfg.retry = retry_policy_from_env();
       cfg.supervise = supervisor_config_from_env("netalyzr");
       sessions_ = scenario::run_netalyzr_campaign(*internet_, cfg, &nz_report_);
       sessions_run_ = true;
@@ -122,7 +120,6 @@ class World {
     if (!crawler_) {
       scenario::run_bittorrent_phase(*internet_);
       scenario::CrawlPhaseConfig cfg;
-      cfg.crawl.retry = retry_policy_from_env();
       cfg.supervise = supervisor_config_from_env("crawl_ping");
       crawler_ = scenario::run_crawl_phase(*internet_, cfg, &bt_report_);
     }
@@ -142,8 +139,7 @@ class World {
 inline void print_header(const std::string& experiment,
                          const std::string& title) {
   std::cout << "\n=== " << experiment << ": " << title << " ===\n"
-            << "    (scale=" << env_double("CGN_BENCH_SCALE", 0.4)
-            << ", seed=" << env_u64("CGN_BENCH_SEED", 42)
+            << "    (scale=" << bench_scale() << ", seed=" << bench_seed()
             << "; paper values in [brackets]; expect shape, not absolutes)\n\n";
 }
 
@@ -155,8 +151,7 @@ using analysis::Figures;
 /// Ends a bench run: writes `BENCH_<name>.json` — the machine-readable run
 /// record holding the reproduced figures, the per-phase wall-clock timings
 /// and the full simulation metrics snapshot — and prints the phase table.
-/// CGN_BENCH_JSON_DIR redirects the output file (default: cwd);
-/// CGN_OBS_DASHBOARD=1 additionally prints the metrics dashboard. The JSON
+/// CGN_BENCH_JSON_DIR redirects the output file (default: cwd). The JSON
 /// schema is documented in README.md ("Observability").
 inline void write_bench_json(const std::string& name, const Figures& figures) {
   const char* dir = std::getenv("CGN_BENCH_JSON_DIR");
@@ -167,23 +162,17 @@ inline void write_bench_json(const std::string& name, const Figures& figures) {
   os.precision(12);  // keep large counts out of scientific notation
   os << "{\"bench\":";
   obs::json_escape(os, name);
-  os << ",\"scale\":" << env_double("CGN_BENCH_SCALE", 0.4)
-     << ",\"seed\":" << env_u64("CGN_BENCH_SEED", 42)
+  os << ",\"scale\":" << bench_scale() << ",\"seed\":" << bench_seed()
      << ",\"threads\":" << par::configured_threads();
-  // Provenance: which impairment scenario and retransmission policy were
-  // active, so trajectories can tell clean runs from ablations.
+  // Provenance: which impairment scenario was active, so trajectories can
+  // tell clean runs from ablations.
   {
     const fault::FaultPlan plan = fault_plan_from_env();
-    const fault::RetryPolicy retry = retry_policy_from_env();
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(plan.hash()));
     os << ",\"fault_plan_hash\":\"" << hex << '"'
-       << ",\"fault_plan_active\":" << (plan.active() ? "true" : "false")
-       << ",\"retry\":{\"attempts\":" << retry.attempts
-       << ",\"base_backoff_s\":" << retry.base_backoff_s
-       << ",\"backoff_factor\":" << retry.backoff_factor
-       << ",\"jitter_fraction\":" << retry.jitter_fraction << '}';
+       << ",\"fault_plan_active\":" << (plan.active() ? "true" : "false");
   }
   os << ",\"figures\":";
   analysis::render_figures_json(os, figures);
@@ -217,9 +206,6 @@ inline void write_bench_json(const std::string& name, const Figures& figures) {
   os << "}\n";
 
   obs::PhaseProfiler::global().print(std::cout);
-  const char* dash = std::getenv("CGN_OBS_DASHBOARD");
-  if (dash && *dash && *dash != '0')
-    obs::MetricsRegistry::global().print_dashboard(std::cout);
   if (os)
     std::cout << "\nwrote " << path << "\n";
   else

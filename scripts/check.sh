@@ -47,21 +47,21 @@ stage_format() {
 stage_tier1() {
   echo "== tier-1: configure + build + ctest (build/) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   ctest --test-dir build --output-on-failure -j "$(nproc)"
 }
 
 stage_asan() {
   echo "== sanitizers: ASan+UBSan build + ctest (build-asan/) =="
   cmake -B build-asan -S . -DCGN_SANITIZE=ON >/dev/null
-  cmake --build build-asan -j --target cgn_tests
+  cmake --build build-asan -j "$(nproc)" --target cgn_tests
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 }
 
 stage_tsan() {
   echo "== sanitizers: TSan build + parallel-campaign ctest (build-tsan/) =="
   cmake -B build-tsan -S . -DCGN_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j --target cgn_tests
+  cmake --build build-tsan -j "$(nproc)" --target cgn_tests
   CGN_THREADS=4 ctest --test-dir build-tsan --output-on-failure \
     -R 'RunShards|ConfiguredThreads|RngFork|ThreadClockScope|CampaignParallel|Fault|RouteCache|Super|Observatory|HttpServer' \
     -j "$(nproc)"
@@ -70,7 +70,7 @@ stage_tsan() {
 stage_recovery() {
   echo "== recovery: kill → resume differential smoke (build/) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target cgn_tests
+  cmake --build build -j "$(nproc)" --target cgn_tests
   # The differential inside each test already compares worker counts; the
   # CGN_THREADS sweep additionally exercises the default-thread plumbing.
   CGN_THREADS=1 ctest --test-dir build --output-on-failure -R 'SuperRecovery'
@@ -80,7 +80,7 @@ stage_recovery() {
 stage_bench() {
   echo "== bench: perf-micro smoke (fingerprints + regression gate) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target bench_perf_micro \
+  cmake --build build -j "$(nproc)" --target bench_perf_micro \
     --target bench_fig01_survey --target bench_fig14_transition
   scripts/bench_smoke.sh build
 }
@@ -88,15 +88,16 @@ stage_bench() {
 stage_scale() {
   echo "== scale: sweep smoke (peak-RSS + ns/packet gate) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target bench_scale_sweep
+  cmake --build build -j "$(nproc)" --target bench_scale_sweep
   scripts/scale_smoke.sh build "${CGN_SCALE_STAGE_SCALES:-0.4,1}"
 }
 
 stage_soak() {
   echo "== soak: observatory stream smoke (live endpoint vs batch) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j --target cgn_observatoryd --target cgn_feeder \
-    --target bench_fig04_clusters --target bench_fig05_netalyzr_candidates
+  cmake --build build -j "$(nproc)" --target cgn_observatoryd \
+    --target cgn_feeder --target bench_fig04_clusters \
+    --target bench_fig05_netalyzr_candidates
   scripts/obs_soak_smoke.sh build
 }
 

@@ -37,7 +37,6 @@ mkdir -p "$OUT/batch" "$OUT/ckpt"
 # Same world for every leg; small enough that each campaign runs in
 # seconds, big enough that fig04/fig05 are non-trivial.
 export CGN_BENCH_SCALE=0.05 CGN_BENCH_SEED=42
-export CGN_OBSERVATORY_WINDOW_S=600
 
 DAEMON_PID=""
 cleanup() { [[ -n "$DAEMON_PID" ]] && kill "$DAEMON_PID" 2>/dev/null || true; }
@@ -47,7 +46,7 @@ trap cleanup EXIT
 # announces, and export OBS_URL.
 start_daemon() {
   local log="$1"; shift
-  "$DAEMON" --port 0 "$@" >"$log" 2>&1 &
+  "$DAEMON" --port 0 --window 600 "$@" >"$log" 2>&1 &
   DAEMON_PID=$!
   local port=""
   for _ in $(seq 1 100); do
@@ -123,7 +122,7 @@ stop_daemon
 echo "== obs-soak: kill leg (--abort-after-shards 2 must exit 3) =="
 rc=0
 CGN_SUPER_CHECKPOINT_DIR="$OUT/ckpt" \
-  "$DAEMON" --port 0 --abort-after-shards 2 --exit-after-stream \
+  "$DAEMON" --port 0 --window 600 --abort-after-shards 2 --exit-after-stream \
   > "$OUT/daemon_abort.log" 2>&1 || rc=$?
 if [[ "$rc" -ne 3 ]]; then
   echo "obs_soak_smoke: abort leg exited $rc, expected 3" >&2

@@ -244,10 +244,6 @@ class Histogram {
 
   void reset() noexcept;
 
-  /// Adds `other`'s observations into this histogram (into the calling
-  /// thread's slot). Bounds must match; used by MetricsRegistry::merge_from.
-  void merge_from(const Histogram& other);
-
  private:
   [[nodiscard]] std::atomic<std::uint64_t>& bucket_cell(std::size_t slot,
                                                         std::size_t i) noexcept {
@@ -293,12 +289,6 @@ class MetricsRegistry {
   /// probes stay registered.
   void reset_values();
 
-  /// Folds `other`'s metric values into this registry, creating metrics
-  /// that don't exist here yet. Callers merging several registries must do
-  /// so in a fixed (shard) order so double-sum rounding is reproducible;
-  /// integer totals merge exactly in any order. Probes are not copied.
-  void merge_from(const MetricsRegistry& other);
-
   [[nodiscard]] std::size_t metric_count() const;
 
   /// One JSON object: {"counters":{...},"gauges":{...},
@@ -313,9 +303,6 @@ class MetricsRegistry {
   /// quantile gauges, probes sampled as gauges. Names are prefixed `cgn_`
   /// and dots become underscores ("sim.net.sent" -> "cgn_sim_net_sent").
   void export_prometheus(std::ostream& os) const;
-
-  /// Human-readable dashboard rendered with report::Table.
-  void print_dashboard(std::ostream& os) const;
 
  private:
   mutable std::mutex mu_;

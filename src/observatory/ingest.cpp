@@ -629,8 +629,7 @@ void PushClient::apply_server_frame(IngestFrameType type,
     case IngestFrameType::resume:
       resume_cursor_ = r.u64();
       break;
-    case IngestFrameType::ack:
-      acked_ = r.u64();
+    case IngestFrameType::ack:  // progress only; the client keeps no use
       break;
     case IngestFrameType::park:
       ++parks_;

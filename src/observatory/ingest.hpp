@@ -300,7 +300,6 @@ class PushClient : public EventSink {
     return events_skipped_;
   }
   [[nodiscard]] std::uint64_t parks_seen() const noexcept { return parks_; }
-  [[nodiscard]] std::uint64_t acked_cursor() const noexcept { return acked_; }
 
   // EventSink: every method throws IngestError when the socket dies.
   void add_stream_total(std::uint64_t n) override;
@@ -327,7 +326,6 @@ class PushClient : public EventSink {
   std::uint64_t events_sent_ = 0;
   std::uint64_t events_skipped_ = 0;
   std::uint64_t parks_ = 0;
-  std::uint64_t acked_ = 0;
   std::uint64_t bytes_sent_ = 0;
   bool done_acked_ = false;
   std::string rxbuf_;

@@ -114,7 +114,7 @@ struct WindowTally {
 };
 
 struct ObservatoryConfig {
-  /// Window length in simulated seconds (env knob CGN_OBSERVATORY_WINDOW_S).
+  /// Window length in simulated seconds (cgn_observatoryd --window).
   double window_s = 3600.0;
   /// Closed windows kept for /health (oldest evicted beyond this).
   std::size_t max_window_history = 48;
@@ -167,15 +167,6 @@ class Observatory : public EventSink {
   [[nodiscard]] std::uint64_t events_ingested(const std::string& campaign) const;
   [[nodiscard]] bool stream_done(const std::string& campaign) const;
 
-  /// Current detector states (full batch-equivalent result structs).
-  [[nodiscard]] analysis::BtDetectionResult bt_snapshot() const;
-  [[nodiscard]] analysis::NetalyzrDetectionResult nz_snapshot() const;
-  [[nodiscard]] analysis::CoverageResult coverage_snapshot() const;
-  /// Transition-mechanism scoring over every battery-carrying session
-  /// ingested so far (empty result in v4-only campaigns).
-  [[nodiscard]] analysis::TransitionDetectionResult transition_snapshot()
-      const;
-
   /// The bench figure sets computed from the current stream state, keyed
   /// by bench name ("fig04_clusters", "fig05_netalyzr_candidates",
   /// "tab05_coverage", plus "fig14_transition" once battery sessions
@@ -197,9 +188,6 @@ class Observatory : public EventSink {
   void stop_serving();
   [[nodiscard]] bool serving() const noexcept { return server_.running(); }
   [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
-  [[nodiscard]] std::uint64_t http_requests() const noexcept {
-    return server_.requests_served();
-  }
 
   /// Starts the push-ingestion listener on 127.0.0.1:`port` (0 =
   /// ephemeral). At most one per observatory.
@@ -207,7 +195,6 @@ class Observatory : public EventSink {
                     std::string* error = nullptr);
   bool serve_ingest(std::uint16_t port, std::string* error = nullptr);
   void stop_ingest();
-  [[nodiscard]] bool ingest_serving() const noexcept;
   [[nodiscard]] std::uint16_t ingest_port() const noexcept;
   [[nodiscard]] IngestServer* ingest_server() noexcept {
     return ingest_.get();

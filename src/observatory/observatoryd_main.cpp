@@ -8,10 +8,9 @@
 // are byte-identical to BENCH_fig04_clusters.json / BENCH_fig05_*.json.
 //
 // Flags:
-//   --port N                listen port (0 = ephemeral; default
-//                           CGN_OBSERVATORY_PORT or 9464)
+//   --port N                listen port (0 = ephemeral; default 9464)
 //   --window S              tally window in simulated seconds (default
-//                           CGN_OBSERVATORY_WINDOW_S or 3600)
+//                           3600)
 //   --pace-us N             wall-clock pause between ingested events
 //   --abort-after-shards N  Netalyzr campaign kill-switch (checkpoint
 //                           drill; exits 3 on the resulting abort)
@@ -19,8 +18,7 @@
 //                           serving forever
 //   --ingest-port N         also listen for push-ingestion connections
 //                           (cgn_feeder / PushClient; 0 = ephemeral;
-//                           default CGN_OBSERVATORY_INGEST_PORT, unset =
-//                           no ingest listener)
+//                           without the flag, no ingest listener)
 //   --ingest-queue N        bounded ingest queue capacity (default 4096)
 //   --no-stream             skip the in-process StreamDriver: the daemon
 //                           builds the world (the detectors need its
@@ -40,7 +38,6 @@
 #include "observatory/ingest.hpp"
 #include "observatory/observatory.hpp"
 #include "observatory/stream_driver.hpp"
-#include "scenario/env_config.hpp"
 #include "super/supervisor.hpp"
 
 namespace {
@@ -59,19 +56,14 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   using namespace cgn;
 
-  auto port = static_cast<std::uint16_t>(
-      scenario::env_u64("CGN_OBSERVATORY_PORT", 9464));
+  std::uint16_t port = 9464;
   observatory::ObservatoryConfig obs_cfg;
-  obs_cfg.window_s = scenario::env_double("CGN_OBSERVATORY_WINDOW_S", 3600.0);
   std::size_t abort_after_shards = 0;
   bool exit_after_stream = false;
   bool no_stream = false;
   int pace_us = 0;
   bool ingest_enabled = false;
-  auto ingest_port = static_cast<std::uint16_t>(
-      scenario::env_u64("CGN_OBSERVATORY_INGEST_PORT", 0));
-  if (std::getenv("CGN_OBSERVATORY_INGEST_PORT") != nullptr)
-    ingest_enabled = true;
+  std::uint16_t ingest_port = 0;
   observatory::IngestConfig ingest_cfg;
 
   for (int i = 1; i < argc; ++i) {
@@ -113,17 +105,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  observatory::StreamDriverConfig driver_cfg;
-  driver_cfg.world = scenario::scaled_config();
-  driver_cfg.crawl.crawl.retry = scenario::retry_policy_from_env();
-  driver_cfg.crawl.supervise =
-      scenario::supervisor_config_from_env("crawl_ping");
-  driver_cfg.netalyzr.retry = scenario::retry_policy_from_env();
-  // In a v6-transition world (CGN_V6_TRANSITION=1) sessions run the
-  // Big-NAT battery, which makes /figures grow the fig14_transition set.
-  driver_cfg.netalyzr.transition_battery = driver_cfg.world.v6.enabled;
-  driver_cfg.netalyzr.supervise =
-      scenario::supervisor_config_from_env("netalyzr");
+  observatory::StreamDriverConfig driver_cfg =
+      observatory::stream_driver_config_from_env();
   driver_cfg.netalyzr.supervise.abort_after_shards = abort_after_shards;
   driver_cfg.pace_us = pace_us;
 

@@ -54,6 +54,13 @@ struct StreamDriverConfig {
   int pace_us = 0;
 };
 
+/// The campaign cgn_observatoryd, cgn_feeder and bench_soak_ingest stream:
+/// the CGN_* world (scenario::scaled_config) with CGN_SUPER_* supervision
+/// of both campaigns. In a v6-transition world (CGN_V6_TRANSITION=1)
+/// sessions run the Big-NAT battery, which makes /figures grow the
+/// fig14_transition set.
+[[nodiscard]] StreamDriverConfig stream_driver_config_from_env();
+
 class StreamDriver {
  public:
   explicit StreamDriver(StreamDriverConfig config);

@@ -198,11 +198,6 @@ class Internet {
     auto it = truth_cgn_.find(asn);
     return it != truth_cgn_.end() && it->second;
   }
-  [[nodiscard]] std::size_t truth_cgn_count() const {
-    std::size_t n = 0;
-    for (const auto& [asn, cgn] : truth_cgn_) n += cgn ? 1 : 0;
-    return n;
-  }
 
   /// Ground truth: the AS's transition mechanism. nat44 for every AS of a
   /// v4-only world (and for v6-world ASes that stayed NAT444).

@@ -160,10 +160,7 @@ TEST(ObsRegistry, JsonExportRoundTrip) {
   EXPECT_NE(j.find("\"util\":0.25"), std::string::npos) << j;
   EXPECT_EQ(reg.metric_count(), 4u);
 
-  // The dashboard renders the same registry without touching values.
-  std::ostringstream dash;
-  reg.print_dashboard(dash);
-  EXPECT_NE(dash.str().find("depth"), std::string::npos);
+  // Exporting leaves the values untouched.
   EXPECT_EQ(reg.counter("sim.sent\"quoted\"").value(), 3u);
 }
 

@@ -493,6 +493,10 @@ TEST_F(ObservatoryIngestServerTest, ReconnectResumeReproducesFigures) {
   }
   ASSERT_TRUE(died) << "the injected disconnect must fire mid-stream";
 
+  // The dead connection's bytes are already in the server's socket buffer,
+  // but its connection thread may not have read them yet (seen under load).
+  ASSERT_TRUE(eventually([&] { return server_->cursor("resume") > 0; }));
+
   // Second attempt: clean connection, deterministic replay from scratch;
   // the client skips below the server's cursor.
   cfg.faults = {};

@@ -273,25 +273,5 @@ TEST(MetricSlots, NetworkStatsMergeAcrossWorkers) {
   EXPECT_EQ(net.stats().sent, 8u);
 }
 
-TEST(MetricsRegistry, MergeFromFoldsValuesAndCreatesMissing) {
-  CGN_SKIP_IF_METRICS_DISABLED();
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.counter("shared").inc(2);
-  b.counter("shared").inc(5);
-  b.counter("only_b").inc(7);
-  b.gauge("level").add(-3);
-  b.histogram("h", {1, 2, 4}).observe_small(3);
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("shared").value(), 7u);
-  EXPECT_EQ(a.counter("only_b").value(), 7u);
-  EXPECT_EQ(a.gauge("level").value(), -3);
-  obs::Histogram& h = a.histogram("h", {1, 2, 4});
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.sum(), 3.0);
-  // b is untouched.
-  EXPECT_EQ(b.counter("shared").value(), 5u);
-}
-
 }  // namespace
 }  // namespace cgn
