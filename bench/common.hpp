@@ -193,8 +193,6 @@ inline void write_bench_json(const std::string& name, const Figures& figures) {
        << obs::counter("super.shards_resumed").value()
        << ",\"shards_quarantined\":"
        << obs::counter("super.shards_quarantined").value()
-       << ",\"deadline_aborts\":"
-       << obs::counter("super.deadline_aborts").value()
        << ",\"retry_attempts\":"
        << obs::counter("super.retry_attempts").value() << ",\"coverage\":"
        << (planned == 0 ? 1.0

@@ -7,6 +7,8 @@
 #   asan     full ctest under ASan+UBSan (build-asan/, -DCGN_SANITIZE=ON)
 #   tsan     parallel-campaign ctest under TSan (build-tsan/,
 #            -DCGN_SANITIZE=thread, CGN_THREADS=4)
+#   obsoff   full ctest with observability compiled out (build-obsoff/,
+#            -DCGN_OBS=OFF; obs value-assert tests skip themselves)
 #   bench    bench smoke: bench_perf_micro at 1 and 4 workers, fingerprints
 #            byte-identical, phase timings vs bench/baselines/, plus the
 #            fig01 and fig14 (transition) 1-vs-4-worker figure byte-compares
@@ -67,6 +69,13 @@ stage_tsan() {
     -j "$(nproc)"
 }
 
+stage_obsoff() {
+  echo "== obs off: configure + build + ctest with -DCGN_OBS=OFF (build-obsoff/) =="
+  cmake -B build-obsoff -S . -DCGN_OBS=OFF >/dev/null
+  cmake --build build-obsoff -j "$(nproc)"
+  ctest --test-dir build-obsoff --output-on-failure -j "$(nproc)"
+}
+
 stage_recovery() {
   echo "== recovery: kill → resume differential smoke (build/) =="
   cmake -B build -S . >/dev/null
@@ -111,7 +120,7 @@ fi
 
 for stage in "${stages[@]}"; do
   case "$stage" in
-    format|tier1|asan|tsan|bench|scale|recovery|soak) "stage_$stage" ;;
+    format|tier1|asan|tsan|obsoff|bench|scale|recovery|soak) "stage_$stage" ;;
     *) echo "check.sh: unknown stage '$stage'" >&2; exit 2 ;;
   esac
 done

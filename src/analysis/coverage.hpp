@@ -57,7 +57,7 @@ struct RegionRollup {
 };
 
 /// How much of each supervised campaign's *measurement plan* actually ran.
-/// Quarantined or deadline-aborted shards leave `completed` below
+/// Quarantined or never-dispatched shards leave `completed` below
 /// `planned` — the paper's coverage tables are then lower bounds, and analyses
 /// should report them next to the Table 5 numbers instead of presenting a
 /// partial campaign as a complete one.
@@ -67,7 +67,7 @@ struct MeasurementCoverage {
   std::size_t nz_shards_planned = 0;  ///< per-ISP Netalyzr shards
   std::size_t nz_shards_completed = 0;
 
-  /// True when either campaign lost shards to quarantine/deadlines.
+  /// True when either campaign lost shards (quarantined or not run).
   [[nodiscard]] bool degraded() const noexcept {
     return bt_shards_completed < bt_shards_planned ||
            nz_shards_completed < nz_shards_planned;

@@ -92,13 +92,11 @@ class DhtCrawler {
   /// not mutate stats_ or the dataset — the campaign driver absorbs the
   /// outcomes in shard order after the barrier. Contact lists must target
   /// disjoint routing subtrees (see Network::top_route).
-  /// `clock`/`rng` drive the retry policy's backoff and jitter for this
-  /// shard (both may be null; pass the shard's private clock and a
-  /// substream keyed on shard_id to stay thread-count invariant).
+  /// `clock` carries the retry policy's backoff for this shard (may be
+  /// null; pass the shard's private clock to stay thread-count invariant).
   [[nodiscard]] PingShardOutcome ping_shard(
       sim::Network& net, std::span<const dht::Contact> contacts,
-      std::size_t shard_id, sim::Clock* clock = nullptr,
-      sim::Rng* rng = nullptr);
+      std::size_t shard_id, sim::Clock* clock = nullptr);
 
   /// Folds shard outcomes into stats() and dataset() in the given order.
   void absorb_ping_outcomes(std::span<const PingShardOutcome> outcomes);

@@ -25,15 +25,20 @@
 //   --fault-write-delay-us N    pause between chunked sends (slow writer)
 //   --fault-disconnect-after N  hard-close the socket after N sent bytes
 //
+// Numeric values are strict: digits only, ports at most 65535; anything
+// else is a usage error.
+//
 // Exit codes: 0 stream pushed and done-acked, 2 usage error, 3 campaign
-// aborted (kill-switch/watchdog), 4 push connection failed.
+// aborted (kill-switch), 4 push connection failed.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "observatory/ingest.hpp"
 #include "observatory/stream_driver.hpp"
+#include "scenario/env_config.hpp"
 #include "super/supervisor.hpp"
 
 namespace {
@@ -61,10 +66,13 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    auto number = [&](std::uint64_t max) {
+      return scenario::parse_u64(next(), max);
+    };
     if (arg == "--connect") {
-      const char* v = next();
+      const auto v = number(65535);
       if (!v) return usage(argv[0]);
-      client_cfg.port = static_cast<std::uint16_t>(std::atoi(v));
+      client_cfg.port = static_cast<std::uint16_t>(*v);
     } else if (arg == "--host") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -84,23 +92,21 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--pace-us") {
-      const char* v = next();
+      const auto v = number(INT_MAX);
       if (!v) return usage(argv[0]);
-      pace_us = std::atoi(v);
+      pace_us = static_cast<int>(*v);
     } else if (arg == "--fault-max-write") {
-      const char* v = next();
+      const auto v = number(SIZE_MAX);
       if (!v) return usage(argv[0]);
-      client_cfg.faults.max_write_bytes =
-          static_cast<std::size_t>(std::atoll(v));
+      client_cfg.faults.max_write_bytes = static_cast<std::size_t>(*v);
     } else if (arg == "--fault-write-delay-us") {
-      const char* v = next();
+      const auto v = number(INT_MAX);
       if (!v) return usage(argv[0]);
-      client_cfg.faults.write_delay_us = std::atoi(v);
+      client_cfg.faults.write_delay_us = static_cast<int>(*v);
     } else if (arg == "--fault-disconnect-after") {
-      const char* v = next();
+      const auto v = number(UINT64_MAX);
       if (!v) return usage(argv[0]);
-      client_cfg.faults.disconnect_after_bytes =
-          static_cast<std::uint64_t>(std::atoll(v));
+      client_cfg.faults.disconnect_after_bytes = *v;
     } else {
       return usage(argv[0]);
     }

@@ -36,9 +36,7 @@ void render_campaign_json(std::ostream& os,
      << report.count(super::ShardStatus::completed) << ",\"recovered\":"
      << report.count(super::ShardStatus::recovered) << ",\"resumed\":"
      << report.count(super::ShardStatus::resumed) << ",\"quarantined\":"
-     << report.count(super::ShardStatus::quarantined)
-     << ",\"deadline_aborted\":"
-     << report.count(super::ShardStatus::deadline_aborted) << ",\"not_run\":"
+     << report.count(super::ShardStatus::quarantined) << ",\"not_run\":"
      << report.count(super::ShardStatus::not_run)
      << ",\"attempts\":" << report.total_attempts()
      << ",\"coverage\":" << report.coverage()

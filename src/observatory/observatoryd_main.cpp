@@ -24,20 +24,22 @@
 //                           builds the world (the detectors need its
 //                           routes) and serves push campaigns only
 //
+// Numeric values are strict: digits only (--window: a positive number),
+// ports at most 65535; anything else is a usage error.
+//
 // Exit codes: 0 stream complete, 2 usage/bind error, 3 campaign aborted
-// (kill-switch or watchdog; rerun with the same CGN_SUPER_CHECKPOINT_DIR
-// to resume).
+// (kill-switch; rerun with the same CGN_SUPER_CHECKPOINT_DIR to resume).
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <thread>
 
 #include "observatory/ingest.hpp"
 #include "observatory/observatory.hpp"
 #include "observatory/stream_driver.hpp"
+#include "scenario/env_config.hpp"
 #include "super/supervisor.hpp"
 
 namespace {
@@ -71,33 +73,36 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    auto number = [&](std::uint64_t max) {
+      return scenario::parse_u64(next(), max);
+    };
     if (arg == "--port") {
-      const char* v = next();
+      const auto v = number(65535);
       if (!v) return usage(argv[0]);
-      port = static_cast<std::uint16_t>(std::atoi(v));
+      port = static_cast<std::uint16_t>(*v);
     } else if (arg == "--window") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      obs_cfg.window_s = std::atof(v);
+      const auto v = scenario::parse_double(next());
+      if (!v || !(*v > 0)) return usage(argv[0]);
+      obs_cfg.window_s = *v;
     } else if (arg == "--pace-us") {
-      const char* v = next();
+      const auto v = number(INT_MAX);
       if (!v) return usage(argv[0]);
-      pace_us = std::atoi(v);
+      pace_us = static_cast<int>(*v);
     } else if (arg == "--abort-after-shards") {
-      const char* v = next();
+      const auto v = number(SIZE_MAX);
       if (!v) return usage(argv[0]);
-      abort_after_shards = static_cast<std::size_t>(std::atoll(v));
+      abort_after_shards = static_cast<std::size_t>(*v);
     } else if (arg == "--exit-after-stream") {
       exit_after_stream = true;
     } else if (arg == "--ingest-port") {
-      const char* v = next();
+      const auto v = number(65535);
       if (!v) return usage(argv[0]);
-      ingest_port = static_cast<std::uint16_t>(std::atoi(v));
+      ingest_port = static_cast<std::uint16_t>(*v);
       ingest_enabled = true;
     } else if (arg == "--ingest-queue") {
-      const char* v = next();
+      const auto v = number(SIZE_MAX);
       if (!v) return usage(argv[0]);
-      ingest_cfg.queue_capacity = static_cast<std::size_t>(std::atoll(v));
+      ingest_cfg.queue_capacity = static_cast<std::size_t>(*v);
     } else if (arg == "--no-stream") {
       no_stream = true;
     } else {

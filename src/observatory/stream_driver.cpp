@@ -40,7 +40,7 @@ void StreamDriver::emit(EventSink& sink, std::vector<StreamEvent> events,
 void StreamDriver::run(EventSink& sink) {
   double virtual_end = 0.0;
 
-  if (config_.run_bt) {
+  {
     scenario::Internet& world = *bt_world_;
     // The BT phase is single-threaded, so a hop-trace ring may observe it;
     // the crawl's ping sweep shards across workers, so detach before it.
@@ -81,17 +81,13 @@ void StreamDriver::run(EventSink& sink) {
     emit(sink, std::move(events), 0.0, virtual_end);
   }
 
-  if (config_.run_netalyzr) {
+  {
     // The Netalyzr campaign must be the first fork consumer of its world to
-    // reproduce bench_fig05's substream — build a fresh one when the crawl
-    // already consumed forks from bt_world_.
-    scenario::Internet* world = bt_world_.get();
-    if (config_.run_bt) {
-      nz_world_ = scenario::build_internet(config_.world);
-      world = nz_world_.get();
-    }
+    // reproduce bench_fig05's substream, and the crawl already consumed
+    // forks from bt_world_: build a fresh one.
+    nz_world_ = scenario::build_internet(config_.world);
     const std::vector<netalyzr::SessionResult> sessions =
-        scenario::run_netalyzr_campaign(*world, config_.netalyzr,
+        scenario::run_netalyzr_campaign(*nz_world_, config_.netalyzr,
                                         &nz_report_);
     sink.note_campaign_report("netalyzr", nz_report_);
 
@@ -106,7 +102,7 @@ void StreamDriver::run(EventSink& sink) {
     // Netalyzr virtual times continue after the crawl's on the shared
     // stream axis.
     emit(sink, std::move(events), virtual_end,
-         virtual_end + world->clock.now());
+         virtual_end + nz_world_->clock.now());
   }
 
   sink.note_stream_done();

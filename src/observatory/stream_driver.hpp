@@ -15,9 +15,9 @@
 // tallies have a time axis to bin on (Netalyzr times continue after the
 // crawl's, mirroring the paper's staggered deployments).
 //
-// A campaign kill-switch (SupervisorConfig::abort_after_shards) or watchdog
-// abort escapes run() as super::CampaignAborted; the Observatory keeps
-// whatever was ingested and a rerun with the same checkpoint dir resumes.
+// A campaign kill-switch (SupervisorConfig::abort_after_shards) escapes
+// run() as super::CampaignAborted; the Observatory keeps whatever was
+// ingested and a rerun with the same checkpoint dir resumes.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,6 @@ struct StreamDriverConfig {
   scenario::BitTorrentPhaseConfig bt_phase;
   scenario::CrawlPhaseConfig crawl;
   scenario::NetalyzrCampaignConfig netalyzr = stream_netalyzr_defaults();
-  bool run_bt = true;
-  bool run_netalyzr = true;
   /// Wall-clock pause between ingested events, for soak runs where a
   /// scraper should see the figures converge. 0 = flat out.
   int pace_us = 0;
@@ -77,11 +75,10 @@ class StreamDriver {
     return bt_world_->registry;
   }
 
-  /// Runs the configured campaigns and streams every observation into
-  /// `sink` — an in-process Observatory or a PushClient framing the same
-  /// events onto a socket. Throws super::CampaignAborted when a campaign
-  /// kill-switch or watchdog fires (already-ingested events stay in the
-  /// sink).
+  /// Runs both campaigns and streams every observation into `sink` — an
+  /// in-process Observatory or a PushClient framing the same events onto a
+  /// socket. Throws super::CampaignAborted when a campaign kill-switch
+  /// fires (already-ingested events stay in the sink).
   void run(EventSink& sink);
 
   [[nodiscard]] std::uint64_t events_emitted() const noexcept {
@@ -100,9 +97,8 @@ class StreamDriver {
 
   StreamDriverConfig config_;
   std::unique_ptr<scenario::Internet> bt_world_;
-  /// Built lazily when both campaigns run (the Netalyzr campaign must be
-  /// its world's first fork consumer to match bench_fig05); when only one
-  /// campaign runs, bt_world_ serves it.
+  /// Built in run(), after the crawl: the Netalyzr campaign must be its
+  /// world's first fork consumer to match bench_fig05.
   std::unique_ptr<scenario::Internet> nz_world_;
   std::unique_ptr<crawler::DhtCrawler> crawler_;
   super::CampaignReport bt_report_;

@@ -173,10 +173,10 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
       shards.size(),
       [&](std::size_t s) {
         // Shards probe concurrently on private timelines (retry backoff
-        // costs virtual time) and draw fault/jitter decisions from
-        // shard-keyed substreams — all functions of what the shard is,
-        // never of which worker runs it. A retry starts from a clean
-        // outcome, replaying the same substreams bit-identically.
+        // costs virtual time) and draw fault decisions from shard-keyed
+        // substreams — all functions of what the shard is, never of which
+        // worker runs it. A retry starts from a clean outcome, replaying the
+        // same substreams bit-identically.
         outcomes[s] = {};
         sweep_end[s] = sweep_t0;
         sim::Clock clock;
@@ -184,10 +184,7 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
         sim::ThreadClockScope clock_scope(clock);
         fault::StreamScope fault_scope(internet.faults.get(),
                                        fault::kSaltPingSweep, s);
-        sim::Rng jitter =
-            internet.faults->substream(fault::kSaltRetryJitter, s);
-        outcomes[s] = crawler->ping_shard(internet.net, shards[s], s, &clock,
-                                          &jitter);
+        outcomes[s] = crawler->ping_shard(internet.net, shards[s], s, &clock);
         sweep_end[s] = clock.now();
       },
       &codec, config.threads);

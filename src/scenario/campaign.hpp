@@ -47,8 +47,8 @@ struct CrawlPhaseConfig {
   /// Workers for the bt_ping sweep: 0 reads CGN_THREADS (default serial).
   /// Results are identical for every worker count (see cgn::par).
   std::size_t threads = 0;
-  /// Supervision for the ping-sweep shards (retry budget, quarantine,
-  /// deadlines, checkpoint path). Campaign identity fields
+  /// Supervision for the ping-sweep shards (retry budget, checkpoint
+  /// path). Campaign identity fields
   /// (campaign_kind/world_seed/plan_hash/faults/salt) are filled by the
   /// driver — callers set only the policy knobs.
   super::SupervisorConfig supervise;
@@ -79,15 +79,15 @@ struct NetalyzrCampaignConfig {
   /// Workers for the per-ISP session shards: 0 reads CGN_THREADS (default
   /// serial). Results are identical for every worker count (see cgn::par).
   std::size_t threads = 0;
-  /// Supervision for the per-ISP shards (retry budget, quarantine,
-  /// deadlines, checkpoint path). Identity fields are filled by the driver.
+  /// Supervision for the per-ISP shards (retry budget, checkpoint path).
+  /// Identity fields are filled by the driver.
   super::SupervisorConfig supervise;
 };
 
 /// Runs the Netalyzr campaign. `report_out`, when non-null, receives the
-/// per-shard supervision report. A quarantined (or deadline-aborted) shard
-/// contributes no sessions: the campaign completes with degraded coverage
-/// instead of aborting (see analysis::MeasurementCoverage).
+/// per-shard supervision report. A quarantined shard contributes no
+/// sessions: the campaign completes with degraded coverage instead of
+/// aborting (see analysis::MeasurementCoverage).
 [[nodiscard]] std::vector<netalyzr::SessionResult> run_netalyzr_campaign(
     Internet& internet, const NetalyzrCampaignConfig& config = {},
     super::CampaignReport* report_out = nullptr);

@@ -33,34 +33,44 @@ void warn_once(const char* name, const char* value) {
 
 }  // namespace
 
+std::optional<std::uint64_t> parse_u64(const char* text, std::uint64_t max) {
+  // Digits only, as par::configured_threads parses CGN_THREADS: a sign,
+  // blank or suffix rejects the whole value.
+  if (!text || !*text || text[std::strspn(text, "0123456789")] != '\0')
+    return std::nullopt;
+  errno = 0;
+  const unsigned long long x = std::strtoull(text, nullptr, 10);
+  if (errno == ERANGE || x > max) return std::nullopt;
+  return x;
+}
+
+std::optional<double> parse_double(const char* text) {
+  // strtod would skip leading blanks and stop at trailing garbage; the
+  // whole text must be the number.
+  if (!text || !*text || std::isspace(static_cast<unsigned char>(*text)))
+    return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(text, &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(x))
+    return std::nullopt;
+  return x;
+}
+
 double env_double(const char* name, double fallback) {
   const char* v = knob(name);
   if (!v) return fallback;
-  // strtod would skip leading blanks and stop at trailing garbage; the
-  // whole value must be the number.
-  char* end = nullptr;
-  errno = 0;
-  const double x = std::strtod(v, &end);
-  if (std::isspace(static_cast<unsigned char>(*v)) || *end != '\0' ||
-      errno == ERANGE || !std::isfinite(x)) {
-    warn_once(name, v);
-    return fallback;
-  }
-  return x;
+  const std::optional<double> x = parse_double(v);
+  if (!x) warn_once(name, v);
+  return x.value_or(fallback);
 }
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = knob(name);
   if (!v) return fallback;
-  // Digits only, as par::configured_threads parses CGN_THREADS: a sign,
-  // blank or suffix rejects the whole value.
-  errno = 0;
-  const unsigned long long x = std::strtoull(v, nullptr, 10);
-  if (v[std::strspn(v, "0123456789")] != '\0' || errno == ERANGE) {
-    warn_once(name, v);
-    return fallback;
-  }
-  return x;
+  const std::optional<std::uint64_t> x = parse_u64(v);
+  if (!x) warn_once(name, v);
+  return x.value_or(fallback);
 }
 
 double bench_scale() { return env_double("CGN_BENCH_SCALE", 0.4); }

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "fault/fault.hpp"
@@ -17,9 +19,19 @@
 
 namespace cgn::scenario {
 
+/// Strict number parsing for knobs and command-line flags. parse_u64
+/// takes plain decimal digits only (no sign, blank or suffix) and gives
+/// nullopt above `max`; parse_double needs strtod to consume the whole text
+/// and give a finite number. Both give nullopt for a null or empty text
+/// and for a value that does not parse whole ("abc", "0.1x", " 4").
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(
+    const char* text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+[[nodiscard]] std::optional<double> parse_double(const char* text);
+
 /// A numeric CGN_* knob. Unset or empty gives `fallback`, and so does a
-/// value that does not parse whole ("abc", "0.1x", " 4"); such a value
-/// warns once per knob on stderr. env_u64 takes plain decimal digits only.
+/// value the parse_* functions reject; such a value warns once per knob on
+/// stderr.
 [[nodiscard]] double env_double(const char* name, double fallback);
 [[nodiscard]] std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 

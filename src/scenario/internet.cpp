@@ -574,19 +574,12 @@ class InternetBuilder {
       for (const auto& a : pool)
         I_.net.register_address(a, isp.cgn_node, I_.net.root());
 
-      // Scheduled restarts / pressure windows apply to carrier-grade
-      // devices (the paper's CGN state flushes); phases are drawn per
-      // device so the fleet does not reboot in lockstep.
-      if (faults_on && (fplan.nat.restart_period_s > 0 ||
-                        fplan.nat.pressure_period_s > 0))
+      // Scheduled restarts apply to carrier-grade devices (the paper's CGN
+      // state flushes); phases are drawn per device so the fleet does not
+      // reboot in lockstep.
+      if (faults_on && fplan.nat.restart_period_s > 0)
         isp.cgn->set_fault_profile(
-            fplan.nat,
-            fplan.nat.restart_period_s > 0
-                ? frng.uniform01() * fplan.nat.restart_period_s
-                : 0.0,
-            fplan.nat.pressure_period_s > 0
-                ? frng.uniform01() * fplan.nat.pressure_period_s
-                : 0.0);
+            fplan.nat, frng.uniform01() * fplan.nat.restart_period_s);
 
       int d = prof.hop_distance;
       cpe_chain_bottom = I_.net.add_router_chain(
@@ -637,9 +630,7 @@ class InternetBuilder {
     // still refreshes NAT state — the peers the crawler probes and then
     // discards as dead.
     const double deaf_rate =
-        faults_on
-            ? fplan.peers.rate_for(static_cast<std::uint32_t>(plan.info.asn))
-            : 0.0;
+        faults_on ? fplan.peers.unresponsive_fraction : 0.0;
     int home_id = 0;
     for (std::size_t i = 0; i < n_subs; ++i) {
       LazyWorld::LinePlan lp;

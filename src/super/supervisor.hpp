@@ -14,15 +14,6 @@
 //  * Quarantine. A shard that exhausts its budget is *quarantined*: its
 //    results are dropped, the campaign completes with degraded coverage,
 //    and the CampaignReport says exactly which shards are missing and why.
-//    (quarantine = false restores all-or-nothing: the supervisor rethrows
-//    an aggregate error instead.)
-//  * Watchdog deadlines. Optional wall-clock budgets per shard and for the
-//    whole campaign. A watchdog thread flags overruns; shard bodies may
-//    poll ShardSupervisor::cancel_requested() to bail out cooperatively,
-//    and any shard that finishes past its deadline is classified
-//    deadline_aborted and dropped like a quarantined one. Deadlines are
-//    off by default — they trade determinism for liveness, so only
-//    operators opt in.
 //  * Checkpoint/resume. With a checkpoint_path, each finished shard's
 //    results are serialized through the caller's ShardCodec and appended
 //    to a versioned checkpoint file (see checkpoint.hpp). A resumed
@@ -47,16 +38,17 @@
 
 namespace cgn::super {
 
+/// The values are wire bytes (CampaignReports pushed to an observatory):
+/// never renumber them.
 enum class ShardStatus : std::uint8_t {
-  not_run,           ///< never dispatched (campaign abort or deadline)
-  completed,         ///< first attempt succeeded
-  recovered,         ///< succeeded after at least one failed attempt
-  resumed,           ///< restored from a checkpoint, not re-run
-  quarantined,       ///< attempt budget exhausted; results dropped
-  deadline_aborted,  ///< shard/campaign watchdog deadline hit; dropped
+  not_run = 0,      ///< never dispatched (campaign abort)
+  completed = 1,    ///< first attempt succeeded
+  recovered = 2,    ///< succeeded after at least one failed attempt
+  resumed = 3,      ///< restored from a checkpoint, not re-run
+  quarantined = 4,  ///< attempt budget exhausted; results dropped
 };
-
-[[nodiscard]] std::string_view to_string(ShardStatus s) noexcept;
+/// The last ShardStatus value: decoders reject any byte above it.
+inline constexpr ShardStatus kShardStatusMax = ShardStatus::quarantined;
 
 struct ShardOutcome {
   ShardStatus status = ShardStatus::not_run;
@@ -116,16 +108,8 @@ class CampaignAborted : public std::runtime_error {
 
 struct SupervisorConfig {
   /// Total attempts per shard (1 = no retry, the historical behaviour).
+  /// A shard that exhausts it is quarantined: dropped and reported.
   int max_attempts = 1;
-  /// Wall-clock budget per shard attempt; 0 disables the shard watchdog.
-  /// Nondeterministic by nature — results depend on host speed.
-  double shard_deadline_s = 0.0;
-  /// Wall-clock budget for the whole campaign; 0 disables. Once exceeded,
-  /// no further shards are dispatched (marked not_run).
-  double campaign_deadline_s = 0.0;
-  /// true: exhausted/aborted shards are dropped and reported (default).
-  /// false: the supervisor rethrows an aggregate error after the barrier.
-  bool quarantine = true;
 
   /// Checkpoint file; empty disables checkpoint/resume.
   std::string checkpoint_path;
@@ -171,11 +155,6 @@ class ShardSupervisor {
                      const std::function<void(std::size_t)>& shard_fn,
                      const ShardCodec* codec = nullptr,
                      std::size_t threads = 0);
-
-  /// True when the watchdog asked the calling shard to stop (cooperative
-  /// cancellation for long-running shard bodies). Always false outside a
-  /// supervised shard or when no shard deadline is configured.
-  [[nodiscard]] static bool cancel_requested() noexcept;
 
  private:
   SupervisorConfig config_;

@@ -1,5 +1,6 @@
 // The CGN_* environment knobs: strict parsing (a value that does not parse
-// whole falls back to the default), each knob landing in its config field,
+// whole falls back to the default; the daemon's and the feeder's numeric
+// flags share the parsers), each knob landing in its config field,
 // and the one StreamDriverConfig builder the daemon, the feeder and the
 // soak bench share. CGN_THREADS is covered by par_test.cpp; the remaining
 // knobs (CGN_BENCH_JSON_DIR, CGN_SOAK_DURATION_S, CGN_SCALE_SWEEP_*) are
@@ -119,6 +120,26 @@ TEST(EnvConfig, TrailingGarbageRejectsTheWholeValue) {
   EXPECT_FALSE(scenario::scaled_config().v6.enabled);
 }
 
+TEST(EnvConfig, ParsersTakeWholeValuesUpToTheMaximum) {
+  // cgn_observatoryd / cgn_feeder parse their numeric flags here. atoll
+  // used to read "--ingest-queue -5" as a capacity of ~2^64 and atoi
+  // "--port 70000" as port 4464.
+  EXPECT_EQ(scenario::parse_u64("-5"), std::nullopt);
+  EXPECT_EQ(scenario::parse_u64("70000", 65535), std::nullopt);
+  EXPECT_EQ(scenario::parse_u64("4x"), std::nullopt);
+  EXPECT_EQ(scenario::parse_u64(""), std::nullopt);
+  EXPECT_EQ(scenario::parse_u64(nullptr), std::nullopt);
+  EXPECT_EQ(scenario::parse_u64("65535", 65535), 65535u);
+  EXPECT_EQ(scenario::parse_u64("9464", 65535), 9464u);
+  EXPECT_EQ(scenario::parse_u64("0"), 0u);
+  EXPECT_EQ(scenario::parse_double("abc"), std::nullopt);
+  EXPECT_EQ(scenario::parse_double("4x"), std::nullopt);
+  EXPECT_EQ(scenario::parse_double(""), std::nullopt);
+  EXPECT_EQ(scenario::parse_double(nullptr), std::nullopt);
+  EXPECT_EQ(scenario::parse_double("600"), 600.0);
+  EXPECT_EQ(scenario::parse_double("-5"), -5.0);
+}
+
 TEST(EnvConfig, RejectedValueWarnsOncePerKnob) {
   ScopedEnv env({"CGN_ENV_CONFIG_TEST_KNOB"});
   ScopedEnv::set("CGN_ENV_CONFIG_TEST_KNOB", "12abc");
@@ -200,8 +221,6 @@ TEST(EnvConfig, StreamDriverConfigFromEnv) {
   EXPECT_EQ(cfg.crawl.crawl.retry.attempts, 1);
   EXPECT_EQ(cfg.netalyzr.supervise.abort_after_shards, 0u);
   EXPECT_EQ(cfg.pace_us, 0);
-  EXPECT_TRUE(cfg.run_bt);
-  EXPECT_TRUE(cfg.run_netalyzr);
 
   // A v6-transition world turns on the Big-NAT battery.
   ScopedEnv::set("CGN_V6_TRANSITION", "1");

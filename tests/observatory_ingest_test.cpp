@@ -22,6 +22,7 @@
 #include "observatory/ingest.hpp"
 #include "observatory/observatory.hpp"
 #include "observatory/socket_server.hpp"
+#include "super/supervisor.hpp"
 #include "super/wire.hpp"
 
 namespace cgn {
@@ -341,6 +342,36 @@ TEST_F(ObservatoryIngestServerTest, MalformedFrameCorpusIsFullyAccounted) {
   EXPECT_NE(health.body.find("\"push\":{"), std::string::npos) << health.body;
   EXPECT_NE(health.body.find("\"rejected_total\":7"), std::string::npos)
       << health.body;
+}
+
+TEST_F(ObservatoryIngestServerTest, ReportWithUnknownShardStatusIsRejected) {
+  const observatory::IngestStats before = server_->stats();
+  auto report_frame = [](std::uint8_t status) {
+    super::wire::Writer w;
+    w.str("netalyzr");
+    w.u32(1);  // one shard
+    w.u8(status);
+    w.u32(1);    // attempts
+    w.f64(0.5);  // elapsed_s
+    w.str("");   // error
+    return observatory::ingest_frame(IngestFrameType::report, w.bytes());
+  };
+  RawIngestClient c(obs_->ingest_port());
+  c.send_bytes(hello_frame("corpus"));
+  // One past the last ShardStatus (quarantined) is not a status.
+  c.send_bytes(report_frame(
+      static_cast<std::uint8_t>(super::ShardStatus::quarantined) + 1));
+  ASSERT_TRUE(eventually([&] {
+    return server_->stats().bad_payload == before.bad_payload + 1;
+  }));
+  // Framing was intact, so the connection survives: a report with the last
+  // valid status is accepted on it (hello + report).
+  c.send_bytes(
+      report_frame(static_cast<std::uint8_t>(super::ShardStatus::quarantined)));
+  ASSERT_TRUE(eventually([&] {
+    return server_->stats().frames_accepted == before.frames_accepted + 2;
+  }));
+  EXPECT_EQ(server_->stats().bad_payload, before.bad_payload + 1);
 }
 
 TEST_F(ObservatoryIngestServerTest, HelloIdentityMismatchIsRejected) {
